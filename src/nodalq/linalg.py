@@ -267,8 +267,8 @@ class Matrix:
 
     def column_space_basis(self) -> "Matrix":
         """Matrix whose columns are the pivot columns (echelon convention)."""
-        _, pivots = self.transpose().rref()  # row space of transpose = column space
-        # pivot rows of the transpose rref give an echelon basis
+        # row space of the transpose = column space; its pivot rows give
+        # an echelon basis
         R, piv = self.transpose().rref()
         rows = [R.rows[i] for i in range(len(piv))]
         if not rows:

@@ -229,9 +229,6 @@ class Commutation:
             raise QuiverError("commutation sides must differ")
 
 
-Relation = Union[MonomialZero, Commutation]
-
-
 @dataclass(frozen=True)
 class Presentation:
     quiver: Quiver

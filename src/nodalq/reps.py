@@ -18,6 +18,9 @@ enumeration strategies for such catalogs over a finite field:
 * ``closure`` grows the catalog by one total dimension at a time,
   realizing every candidate as an extension of a known direct sum by a
   simple submodule, so single large matrices never get enumerated.
+  Ext^1 of a direct sum is the sum of the Ext^1 of its summands, so one
+  basis per (class, vertex) is computed once, and extension classes that
+  visibly split are pruned before any Hom space is solved.
 
 Every isomorphism decision inside the enumerators goes through the
 basis-pair test of ``has_summand``, which is exact for indecomposable
@@ -685,6 +688,7 @@ class EnumerationResult:
     max_total: int
     method: str
     examined: int
+    tested: int = 0
 
     @property
     def count(self) -> int:
@@ -692,12 +696,12 @@ class EnumerationResult:
 
 
 def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Dimension vectors of a total in lexicographic order; the bars of a
+    stars-and-bars picture come out of ``combinations`` in that order."""
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        edges = (-1,) + bars + (slots,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def _support_connected(q, dims) -> bool:
@@ -785,155 +789,135 @@ def _weighted_multisets(entries, target):
     yield from rec(0, target)
 
 
-def _extension_candidates(pres, field, base, v, budget):
-    """All one-step extensions of ``base`` by a simple submodule at ``v``.
+def _ext_basis(base, v) -> Matrix:
+    """Rows: coset representatives of a basis of Ext^1(base, S_v).
 
-    The new coordinate is row zero of the space at ``v``; arrows into
-    ``v`` acquire an unknown top row, arrows out of ``v`` a forced zero
-    column.  Relations ending at ``v`` translate into linear constraints
-    on the unknown rows, and extensions differing by a coboundary give
-    isomorphic modules, so only coset representatives get built.
+    An extension by the simple at ``v`` is given by the top rows it adds
+    to the arrows into ``v``, concatenated in arrow order.  Relations
+    ending at ``v`` make these rows a cocycle; the rows of ``base``'s own
+    arrows into ``v`` span the coboundaries, and cocycles differing by a
+    coboundary give isomorphic extensions.
     """
-    q = pres.quiver
-    ins = [a for a in q.arrows if a.target == v]
-    widths = [base.dim(a.source) for a in ins]
-    unknowns = sum(widths)
-    if unknowns == 0:
-        return []
-    offsets = []
-    pos = 0
-    for wdt in widths:
-        offsets.append(pos)
-        pos += wdt
-    slot = {a.name: k for k, a in enumerate(ins)}
-
+    q = base.pres.quiver
+    field = base.field
+    ins = q.in_arrows(v)
+    offsets = {}
+    unknowns = 0
+    for a in ins:
+        offsets[a.name] = unknowns
+        unknowns += base.dim(a.source)
+    # relations whose words end at v, each word as its unknown top row
+    # times the rest of the word
+    constraints = [[(w, field.add)] for w in base.pres.zero_words() if w[0] in offsets]
+    constraints += [
+        [(lhs, field.add), (rhs, field.sub)]
+        for lhs, rhs in base.pres.commutation_pairs()
+        if lhs[0] in offsets
+    ]
     rows = []
-
-    def word_part(word, sign):
-        # contribution of the word's unknown top row: r[word0] . base(rest)
-        k = slot[word[0]]
-        if len(word) > 1:
-            cols = path_matrix(base, word[1:])
-        else:
-            cols = Matrix.identity(field, widths[k])
-        return k, cols, sign
-
-    constraints = []
-    for w in pres.zero_words():
-        if q.arrow(w[0]).target == v:
-            constraints.append([word_part(w, 1)])
-    for lhs, rhs in pres.commutation_pairs():
-        if q.arrow(lhs[0]).target == v:
-            constraints.append([word_part(lhs, 1), word_part(rhs, -1)])
     for parts in constraints:
-        width_cols = parts[0][1].ncols
-        for c in range(width_cols):
+        mats = [
+            (offsets[w[0]], path_matrix(base, w[1:], q.arrow(w[0]).source), op)
+            for w, op in parts
+        ]
+        for c in range(mats[0][1].ncols):
             row = [field.zero()] * unknowns
-            for k, cols, sign in parts:
+            for off, cols, op in mats:
                 for r in range(cols.nrows):
-                    idx = offsets[k] + r
-                    term = cols.rows[r][c]
-                    if sign < 0:
-                        term = field.neg(term)
-                    row[idx] = field.add(row[idx], term)
+                    row[off + r] = op(row[off + r], cols.rows[r][c])
             rows.append(tuple(row))
-    system = Matrix(field, len(rows), unknowns, tuple(rows))
-    cocycles = system.nullspace()
-
-    cobounds = []
-    dv = base.dim(v)
-    for t in range(dv):
-        vec = [field.zero()] * unknowns
-        for k, a in enumerate(ins):
-            mat = base.mat(a.name)
-            for c in range(mat.ncols):
-                vec[offsets[k] + c] = mat.rows[t][c]
-        cobounds.append(tuple(vec))
-
-    # extend the coboundary row space to the full cocycle space; the
-    # extension vectors then enumerate the cosets exactly once
-    reduced = Matrix(field, len(cobounds), unknowns, tuple(cobounds))
-    rr, pivots = reduced.rref()
-    basis_rows = [rr.rows[k] for k in range(len(pivots))]
-    ext_basis = []
+    cocycles = Matrix(field, len(rows), unknowns, tuple(rows)).nullspace()
+    span = [sum((base.mat(a.name).rows[t] for a in ins), ()) for t in range(base.dim(v))]
+    rank = Matrix(field, len(span), unknowns, tuple(span)).rank()
+    basis = []
     for z in cocycles:
-        cur = list(z)
-        for row in basis_rows + ext_basis:
-            pc = next((c for c, x in enumerate(row) if x != field.zero()), None)
-            if pc is not None and cur[pc] != field.zero():
-                factor = field.mul(cur[pc], field.inv(row[pc]))
-                cur = [
-                    field.sub(x, field.mul(factor, y)) for x, y in zip(cur, row)
-                ]
-        if any(x != field.zero() for x in cur):
-            ext_basis.append(tuple(cur))
-    if len(ext_basis) > budget:
-        raise BudgetExceeded(
-            f"{len(ext_basis)} independent extension directions at {v!r},"
-            f" over the budget {budget}"
-        )
+        grown = span + basis + [z]
+        if Matrix(field, len(grown), unknowns, tuple(grown)).rank() > rank + len(basis):
+            basis.append(z)
+    return Matrix(field, len(basis), unknowns, tuple(basis))
 
-    out = []
-    vi = q.vertices.index(v)
-    new_dims = tuple(d + 1 if k == vi else d for k, d in enumerate(base.dims))
-    for coeffs in itertools.product(field.elements(), repeat=len(ext_basis)):
-        if all(c == field.zero() for c in coeffs):
-            continue
-        rvec = [field.zero()] * unknowns
-        for c, bvec in zip(coeffs, ext_basis):
-            if c != field.zero():
-                rvec = [
-                    field.add(x, field.mul(c, y)) for x, y in zip(rvec, bvec)
-                ]
-        mats = []
-        for a, bm in zip(q.arrows, base.mats):
-            if a.target == v and a.source == v:
-                k = slot[a.name]
-                top = (field.zero(),) + tuple(
-                    rvec[offsets[k] + c] for c in range(widths[k])
-                )
-                body = tuple(
-                    (field.zero(),) + bm.rows[r] for r in range(bm.nrows)
-                )
-                mats.append(Matrix(field, bm.nrows + 1, bm.ncols + 1, (top,) + body))
-            elif a.target == v:
-                k = slot[a.name]
-                top = tuple(rvec[offsets[k] + c] for c in range(widths[k]))
-                mats.append(
-                    Matrix(field, bm.nrows + 1, bm.ncols, (top,) + bm.rows)
-                )
-            elif a.source == v:
-                body = tuple(
-                    (field.zero(),) + bm.rows[r] for r in range(bm.nrows)
-                )
-                mats.append(Matrix(field, bm.nrows, bm.ncols + 1, body))
-            else:
-                mats.append(bm)
-        out.append(Representation(pres, field, new_dims, tuple(mats)))
-    return out
+
+def _extend(base, v, rvec):
+    """The extension of ``base`` by S_v whose new basis vector comes first
+    at ``v`` and whose arrows into ``v`` gain the top rows ``rvec``,
+    concatenated in arrow order; arrows out of ``v`` kill the new vector."""
+    z = base.field.zero()
+    pos = 0
+    mats = []
+    for a, bm in zip(base.pres.quiver.arrows, base.mats):
+        rows = bm.rows
+        if a.source == v:
+            rows = tuple((z,) + r for r in rows)
+        if a.target == v:
+            top = tuple(rvec[pos:pos + bm.ncols])
+            pos += bm.ncols
+            rows = ((z,) + top if a.source == v else top,) + rows
+        shape = (bm.nrows + (a.target == v), bm.ncols + (a.source == v))
+        mats.append(Matrix(base.field, *shape, rows))
+    dims = tuple(d + (u == v) for u, d in zip(base.pres.quiver.vertices, base.dims))
+    return Representation(base.pres, base.field, dims, tuple(mats))
+
+
+def _echelon_forms(field, r, e):
+    """The r x e reduced row echelon matrices of rank r, one per
+    r-dimensional subspace of the e-dimensional space over ``field``."""
+    for pivots in itertools.combinations(range(e), r):
+        free = [(i, c) for i in range(r) for c in range(pivots[i] + 1, e)
+                if c not in pivots]
+        for vals in itertools.product(field.elements(), repeat=len(free)):
+            rows = [[int(c == pc) for c in range(e)] for pc in pivots]
+            for (i, c), x in zip(free, vals):
+                rows[i][c] = x
+            yield Matrix.from_rows(field, rows)
 
 
 def _closure_catalog(pres, field, max_total, budget):
+    """Catalog, candidates examined and candidates tested; see
+    ``enumerate_indecomposables`` for the pruning rule."""
     if field.size is None:
         raise SearchSpaceTooLarge("extension enumeration needs a finite field")
     q = pres.quiver
     catalog = [simple_representation(pres, field, v) for v in q.vertices]
-    examined = len(catalog)
+    examined = tested = len(catalog)
+    ext = []  # per class, vertex -> _ext_basis(class, vertex)
     for total in range(2, max_total + 1):
         found = []
+        ext += [{v: _ext_basis(u, v) for v in q.vertices} for u in catalog[len(ext):]]
         entries = [(k, u.total) for k, u in enumerate(catalog)]
         for picks in _weighted_multisets(entries, total - 1):
-            base = catalog[picks[0]]
-            for k in picks[1:]:
-                base = direct_sum(base, catalog[k])
+            groups = [(k, picks.count(k)) for k in sorted(set(picks))]
+            base = None
             for v in q.vertices:
-                for m in _extension_candidates(pres, field, base, v, budget):
-                    examined += 1
+                dirs = sum(r * ext[k][v].nrows for k, r in groups)
+                if dirs > budget:
+                    raise BudgetExceeded(
+                        f"{dirs} independent extension directions at {v!r},"
+                        f" over the budget {budget}"
+                    )
+                examined += field.size ** dirs - 1
+                # a zero or dependent component splits a summand off
+                if any(r > ext[k][v].nrows for k, r in groups):
+                    continue
+                if base is None:
+                    base = catalog[picks[0]]
+                    for k in picks[1:]:
+                        base = direct_sum(base, catalog[k])
+                choices = [_echelon_forms(field, r, ext[k][v].nrows) for k, r in groups]
+                for pick in itertools.product(*choices):
+                    # one component per summand of base, in its order: picks
+                    # is sorted, so the copies of a class sit together as in
+                    # groups; rvec then lays them out arrow by arrow, as base does
+                    comps = [iter(row) for (k, _), c in zip(groups, pick)
+                             for row in (c * ext[k][v]).rows]
+                    rvec = [x for a in q.in_arrows(v) for k, it in zip(picks, comps)
+                            for x in itertools.islice(it, catalog[k].dim(a.source))]
+                    m = _extend(base, v, rvec)
+                    tested += 1
                     same = [u for u in found if u.dims == m.dims]
                     if _is_new_indecomposable(m, catalog, same):
                         found.append(m)
         catalog.extend(found)
-    return catalog, examined
+    return catalog, examined, tested
 
 
 def enumerate_indecomposables(
@@ -952,16 +936,27 @@ def enumerate_indecomposables(
     by a simple submodule, which reaches totals far beyond the scan;
     there ``budget`` caps the independent extension directions.  Both
     refuse loudly rather than returning a partial catalog.
+
+    ``examined`` counts the candidates considered: matrix tuples for
+    ``scan``; for ``closure`` the simples plus every nonzero class in
+    Ext^1(B_1 + ... + B_n, S_v), over all direct sums and vertices.
+    ``tested`` counts the candidates built and tested; ``closure``
+    prunes, exactly, a class whose component on some summand B_k is zero
+    (B_k splits off) or whose components on a repeated summand B_k^r are
+    linearly dependent (a base change of B_k^r splits a copy off), and
+    builds one class per r-dimensional span of components, since
+    GL_r acting on B_k^r gives isomorphic extensions.
     """
     if max_total < 0:
         raise ValueError("max_total must be nonnegative")
     if method == "scan":
         classes, examined = _scan_catalog(pres, field, max_total, budget)
+        tested = examined
     elif method == "closure":
-        classes, examined = _closure_catalog(pres, field, max_total, budget)
+        classes, examined, tested = _closure_catalog(pres, field, max_total, budget)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return EnumerationResult(tuple(classes), max_total, method, examined)
+    return EnumerationResult(tuple(classes), max_total, method, examined, tested)
 
 
 def random_representation(pres: Presentation, field, rng, max_dim: int = 2):

@@ -145,6 +145,23 @@ def test_functors_selftest(capsys):
     assert out.startswith("selftest passed:")
 
 
+def test_enumerate_long_line_within_a_small_recursion_limit(tmp_path, nodalq_on_path):
+    # enumeration must not recurse once per vertex
+    n = 300
+    lines = ["vertices " + " ".join(f"v{k}" for k in range(n))]
+    lines += [f"arrow a{k} : v{k} -> v{k + 1}" for k in range(n - 1)]
+    datum = tmp_path / "line.datum"
+    datum.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = (
+        "import sys; sys.setrecursionlimit(150)\n"
+        "from nodalq.cli import run_cli\n"
+        f"sys.exit(run_cli(['enumerate', {str(datum)!r}, '--field', '2', '--max-dim', '1']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "total: 300 classes" in proc.stdout
+
+
 def test_console_script_entry(nodalq_on_path):
     proc = subprocess.run(
         [sys.executable, "-m", "nodalq", "classify", path("except_100.datum")],

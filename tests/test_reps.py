@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,7 @@ from nodalq import (
     is_indecomposable,
     is_isomorphic,
     make_representation,
+    parse_datum,
     path_matrix,
     random_representation,
     simple_representation,
@@ -37,7 +39,14 @@ from nodalq import (
     zero_representation,
 )
 
-from util import line_quiver, seeded
+from nodalq.reps import _compositions
+from util import (
+    closure_catalog,
+    line_quiver,
+    random_blow_datum,
+    random_glue_datum,
+    seeded,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -227,6 +236,58 @@ def test_enumerate_is_deterministic():
 def test_enumerate_budget_is_enforced():
     with pytest.raises(BudgetExceeded):
         enumerate_indecomposables(A2, F2, 8, budget=4)
+
+
+def test_compositions_keep_the_recursive_order():
+    # the order of dimension vectors decides the CLI's class numbering
+    def recursive(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in recursive(total - first, parts - 1):
+                yield (first,) + rest
+
+    for total in range(7):
+        for parts in range(1, 6):
+            assert list(_compositions(total, parts)) == list(recursive(total, parts))
+
+
+def _corpus_presentation(name):
+    text = (Path(__file__).resolve().parent.parent / "data" / f"{name}.datum").read_text()
+    return build_presentation(parse_datum(text))[0]
+
+
+def test_closure_pruning_matches_unpruned_oracle():
+    cases = [
+        (_corpus_presentation("except_100"), F2, 5),
+        (_corpus_presentation("super_00"), F2, 4),
+        (_corpus_presentation("blown_chain"), F2, 5),
+        (_corpus_presentation("kronecker_glue"), F3, 4),
+    ]
+    for seed in range(32):
+        make = random_glue_datum if seed % 2 == 0 else random_blow_datum
+        pres, _ = build_presentation(make(seeded(seed), max_vertices=5))
+        cases.append((pres, F2 if seed % 4 < 2 else F3, 4 if seed % 3 else 3))
+    for pres, field, bound in cases:
+        got = enumerate_indecomposables(pres, field, bound, budget=64, method="closure")
+        want, examined = closure_catalog(pres, field, bound, 64)
+        assert (got.count, got.examined) == (len(want), examined)
+        for c in got.classes:
+            matches = [w for w in want if w.dims == c.dims and has_summand(w, c)]
+            assert len(matches) == 1, c.dims
+
+
+def test_closure_counts_tested_candidates():
+    pres = _exceptional_100()
+    r = enumerate_indecomposables(pres, F2, 7, budget=64, method="closure")
+    assert (r.count, r.examined, r.tested) == (17, 5472, 114)
+    # the largest Ext^1 direction count up to bound 7 is 6
+    with pytest.raises(BudgetExceeded):
+        enumerate_indecomposables(pres, F2, 7, budget=5, method="closure")
+    assert enumerate_indecomposables(pres, F2, 7, budget=6, method="closure").count == 17
+    scan = enumerate_indecomposables(A3, F2, 3)
+    assert scan.tested == scan.examined > 0
 
 
 def test_enumerate_representatives_are_certified():

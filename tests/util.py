@@ -1,8 +1,10 @@
 """Shared fixtures: quiver builders, random data generators and the
-independent path-counting oracle the dimension tests compare against.
+oracles the fast paths are compared against.
 
-The oracle walks the quiver directly with a memoized DFS and never
-touches the construction code, so an agreement is meaningful.
+The path-counting oracle walks the quiver directly with a memoized DFS
+and never touches the construction code, so an agreement is meaningful.
+The closure oracle is the unpruned extension enumerator: it builds every
+nonzero extension class of every direct sum of smaller classes.
 """
 
 from __future__ import annotations
@@ -10,7 +12,14 @@ from __future__ import annotations
 import itertools
 import random
 
-from nodalq import Arrow, NodalDatum, Quiver
+from nodalq import Arrow, BudgetExceeded, Matrix, NodalDatum, Quiver, Representation
+from nodalq.reps import (
+    _is_new_indecomposable,
+    _weighted_multisets,
+    direct_sum,
+    path_matrix,
+    simple_representation,
+)
 
 
 def line_quiver(n, orientations=None, prefix="v"):
@@ -162,8 +171,8 @@ def random_dag(rng, max_vertices=8, density=0.35, prefix="n"):
     return Quiver(vs, tuple(arrows))
 
 
-def random_glue_datum(rng):
-    q = random_dag(rng)
+def random_glue_datum(rng, max_vertices=8):
+    q = random_dag(rng, max_vertices)
     vs = list(q.vertices)
     rng.shuffle(vs)
     r = rng.randint(1, len(vs) // 2)
@@ -171,8 +180,8 @@ def random_glue_datum(rng):
     return NodalDatum(q, pairs, ())
 
 
-def random_blow_datum(rng):
-    q = random_dag(rng)
+def random_blow_datum(rng, max_vertices=8):
+    q = random_dag(rng, max_vertices)
     v = rng.choice(q.vertices)
     return NodalDatum(q, (), (v,))
 
@@ -233,3 +242,156 @@ def random_degree_violation_datum(rng):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# ---------------------------------------------------------------------------
+# unpruned closure oracle
+
+def extension_candidates(pres, field, base, v, budget):
+    """All one-step extensions of ``base`` by a simple submodule at ``v``.
+
+    The new coordinate is row zero of the space at ``v``; arrows into
+    ``v`` acquire an unknown top row, arrows out of ``v`` a forced zero
+    column.  Relations ending at ``v`` translate into linear constraints
+    on the unknown rows, and extensions differing by a coboundary give
+    isomorphic modules, so only coset representatives get built.
+    """
+    q = pres.quiver
+    ins = [a for a in q.arrows if a.target == v]
+    widths = [base.dim(a.source) for a in ins]
+    unknowns = sum(widths)
+    if unknowns == 0:
+        return []
+    offsets = []
+    pos = 0
+    for wdt in widths:
+        offsets.append(pos)
+        pos += wdt
+    slot = {a.name: k for k, a in enumerate(ins)}
+
+    rows = []
+
+    def word_part(word, sign):
+        # contribution of the word's unknown top row: r[word0] . base(rest)
+        k = slot[word[0]]
+        if len(word) > 1:
+            cols = path_matrix(base, word[1:])
+        else:
+            cols = Matrix.identity(field, widths[k])
+        return k, cols, sign
+
+    constraints = []
+    for w in pres.zero_words():
+        if q.arrow(w[0]).target == v:
+            constraints.append([word_part(w, 1)])
+    for lhs, rhs in pres.commutation_pairs():
+        if q.arrow(lhs[0]).target == v:
+            constraints.append([word_part(lhs, 1), word_part(rhs, -1)])
+    for parts in constraints:
+        width_cols = parts[0][1].ncols
+        for c in range(width_cols):
+            row = [field.zero()] * unknowns
+            for k, cols, sign in parts:
+                for r in range(cols.nrows):
+                    idx = offsets[k] + r
+                    term = cols.rows[r][c]
+                    if sign < 0:
+                        term = field.neg(term)
+                    row[idx] = field.add(row[idx], term)
+            rows.append(tuple(row))
+    system = Matrix(field, len(rows), unknowns, tuple(rows))
+    cocycles = system.nullspace()
+
+    cobounds = []
+    dv = base.dim(v)
+    for t in range(dv):
+        vec = [field.zero()] * unknowns
+        for k, a in enumerate(ins):
+            mat = base.mat(a.name)
+            for c in range(mat.ncols):
+                vec[offsets[k] + c] = mat.rows[t][c]
+        cobounds.append(tuple(vec))
+
+    # extend the coboundary row space to the full cocycle space; the
+    # extension vectors then enumerate the cosets exactly once
+    reduced = Matrix(field, len(cobounds), unknowns, tuple(cobounds))
+    rr, pivots = reduced.rref()
+    basis_rows = [rr.rows[k] for k in range(len(pivots))]
+    ext_basis = []
+    for z in cocycles:
+        cur = list(z)
+        for row in basis_rows + ext_basis:
+            pc = next((c for c, x in enumerate(row) if x != field.zero()), None)
+            if pc is not None and cur[pc] != field.zero():
+                factor = field.mul(cur[pc], field.inv(row[pc]))
+                cur = [
+                    field.sub(x, field.mul(factor, y)) for x, y in zip(cur, row)
+                ]
+        if any(x != field.zero() for x in cur):
+            ext_basis.append(tuple(cur))
+    if len(ext_basis) > budget:
+        raise BudgetExceeded(
+            f"{len(ext_basis)} independent extension directions at {v!r},"
+            f" over the budget {budget}"
+        )
+
+    out = []
+    vi = q.vertices.index(v)
+    new_dims = tuple(d + 1 if k == vi else d for k, d in enumerate(base.dims))
+    for coeffs in itertools.product(field.elements(), repeat=len(ext_basis)):
+        if all(c == field.zero() for c in coeffs):
+            continue
+        rvec = [field.zero()] * unknowns
+        for c, bvec in zip(coeffs, ext_basis):
+            if c != field.zero():
+                rvec = [
+                    field.add(x, field.mul(c, y)) for x, y in zip(rvec, bvec)
+                ]
+        mats = []
+        for a, bm in zip(q.arrows, base.mats):
+            if a.target == v and a.source == v:
+                k = slot[a.name]
+                top = (field.zero(),) + tuple(
+                    rvec[offsets[k] + c] for c in range(widths[k])
+                )
+                body = tuple(
+                    (field.zero(),) + bm.rows[r] for r in range(bm.nrows)
+                )
+                mats.append(Matrix(field, bm.nrows + 1, bm.ncols + 1, (top,) + body))
+            elif a.target == v:
+                k = slot[a.name]
+                top = tuple(rvec[offsets[k] + c] for c in range(widths[k]))
+                mats.append(
+                    Matrix(field, bm.nrows + 1, bm.ncols, (top,) + bm.rows)
+                )
+            elif a.source == v:
+                body = tuple(
+                    (field.zero(),) + bm.rows[r] for r in range(bm.nrows)
+                )
+                mats.append(Matrix(field, bm.nrows, bm.ncols + 1, body))
+            else:
+                mats.append(bm)
+        out.append(Representation(pres, field, new_dims, tuple(mats)))
+    return out
+
+
+def closure_catalog(pres, field, max_total, budget):
+    """Catalog and candidates examined, testing every extension class."""
+    q = pres.quiver
+    catalog = [simple_representation(pres, field, v) for v in q.vertices]
+    examined = len(catalog)
+    for total in range(2, max_total + 1):
+        found = []
+        entries = [(k, u.total) for k, u in enumerate(catalog)]
+        for picks in _weighted_multisets(entries, total - 1):
+            base = catalog[picks[0]]
+            for k in picks[1:]:
+                base = direct_sum(base, catalog[k])
+            for v in q.vertices:
+                for m in extension_candidates(pres, field, base, v, budget):
+                    examined += 1
+                    same = [u for u in found if u.dims == m.dims]
+                    if _is_new_indecomposable(m, catalog, same):
+                        found.append(m)
+        catalog.extend(found)
+    return catalog, examined
