@@ -115,6 +115,8 @@ def _glue_reflection_agrees(m1, m2, f1, f2, pair, cap) -> bool:
 
 
 def _cmd_selftest(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     rng = random.Random(args.seed)
     cap = 2 ** 14
     failures = []

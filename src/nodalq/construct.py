@@ -339,6 +339,8 @@ def dimension(pres: Presentation, max_path_length: int = 64) -> int:
     when the other side dies on a zero subword), so the quotient rank is
     computed exactly by unifying path classes.
     """
+    if max_path_length < 0:
+        raise ValueError(f"max_path_length must be nonnegative, got {max_path_length}")
     triples = _live_walks(pres, max_path_length)
     index = {(w, s): k for k, (w, s, t) in enumerate(triples)}
     n = len(triples)

@@ -333,3 +333,63 @@ def all_matrices(field, nrows: int, ncols: int):
     for flat in itertools.product(field.elements(), repeat=cells):
         rows = tuple(flat[i * ncols:(i + 1) * ncols] for i in range(nrows))
         yield Matrix(field, nrows, ncols, rows)
+
+
+def rank_forms(field, nrows, ncols):
+    """The matrices [[I_r, 0], [0, 0]], r = 0..min(nrows, ncols): one per
+    orbit of GL(nrows) x GL(ncols) acting by base change at both ends."""
+    z, o = field.zero(), field.one()
+    for r in range(min(nrows, ncols) + 1):
+        rows = tuple(
+            tuple(o if i == j < r else z for j in range(ncols)) for i in range(nrows)
+        )
+        yield Matrix(field, nrows, ncols, rows)
+
+
+def _monic(field, degree):
+    """Monic polynomials of a degree, as coefficient tuples lowest first."""
+    for low in itertools.product(field.elements(), repeat=degree):
+        yield low + (field.one(),)
+
+
+def _poly_mul(field, f, g):
+    out = [field.zero()] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = field.add(out[i + j], field.mul(a, b))
+    return tuple(out)
+
+
+def _companion(field, f) -> Matrix:
+    """Companion matrix of a monic polynomial: ones below the diagonal,
+    minus the lower coefficients in the last column."""
+    n = len(f) - 1
+    z, o = field.zero(), field.one()
+    rows = tuple(
+        tuple(o if j == i - 1 else z for j in range(n - 1)) + (field.neg(f[i]),)
+        for i in range(n)
+    )
+    return Matrix(field, n, n, rows)
+
+
+def similarity_forms(field, n):
+    """Rational canonical forms of n x n matrices, one per similarity
+    class: the block-diagonal companion matrices of the invariant factor
+    chains f_1 | f_2 | ... of monic polynomials whose degrees sum to n.
+    Each chain is f_1 followed by multiples f_{k+1} = f_k g."""
+    stack = [((), n)]  # (chain so far, degrees left)
+    while stack:
+        chain, left = stack.pop()
+        if left == 0:
+            yield block_diag(field, [_companion(field, f) for f in chain])
+            continue
+        if chain:
+            last = chain[-1]
+            grown = (
+                _poly_mul(field, last, g)
+                for e in range(left - len(last) + 2)
+                for g in _monic(field, e)
+            )
+        else:
+            grown = (f for e in range(1, left + 1) for f in _monic(field, e))
+        stack.extend((chain + (f,), left - len(f) + 1) for f in grown)

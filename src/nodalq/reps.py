@@ -12,9 +12,11 @@ representations along gluings and blow-ups, a Krull-Schmidt
 decomposition against a catalog of indecomposables, and two exhaustive
 enumeration strategies for such catalogs over a finite field:
 
-* ``scan`` runs over all matrix tuples per dimension vector and keeps
-  one representative per isomorphism class, which is exact but only
-  affordable while the entry count stays small;
+* ``scan`` meets every matrix tuple per dimension vector up to base
+  change, with one arrow in normal form and each relation checked as
+  soon as its arrows are fixed, and keeps one representative per
+  isomorphism class, which is exact but only affordable while the entry
+  count stays small;
 * ``closure`` grows the catalog by one total dimension at a time,
   realizing every candidate as an extension of a known direct sum by a
   simple submodule, so single large matrices never get enumerated.
@@ -33,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 
 from .construct import blow_presentation, glue_presentation
-from .linalg import Matrix, all_matrices, block_diag
+from .linalg import Matrix, all_matrices, block_diag, rank_forms, similarity_forms
 from .quiver import Presentation
 
 
@@ -738,39 +740,105 @@ def _is_new_indecomposable(m, catalog, same_dimvec) -> bool:
     return True
 
 
+def _word_product(mats, word):
+    """A written word over arrow positions; its last arrow acts first."""
+    out = mats[word[0]]
+    for k in word[1:]:
+        out = out * mats[k]
+    return out
+
+
+def _orbit_tuples(field, shapes, ends, relations):
+    """Matrix tuples, in arrow order, meeting every orbit of the base
+    change group prod GL(d_v) and satisfying the relations.
+
+    The arrow with the most entries, the first in arrow order on ties,
+    runs over one normal form per orbit of the base change at its ends:
+    rank forms, or similarity forms for a loop.  The other arrows run
+    over all matrices, streamed.  Arrows are fixed in that order by an
+    explicit stack of generators, and a relation is checked as soon as
+    its last arrow is fixed, so a prefix that breaks one is never
+    extended.  Relations are pairs of words over arrow positions, the
+    second None for a zero relation.
+    """
+    n = len(shapes)
+    if n == 0:
+        yield ()
+        return
+    first = max(range(n), key=lambda k: shapes[k][0] * shapes[k][1])
+    order = [first] + [k for k in range(n) if k != first]
+    step = {k: i for i, k in enumerate(order)}
+    checks = [[] for _ in order]  # per step, the relations it completes
+    for lhs, rhs in relations:
+        checks[max(step[k] for k in lhs + (rhs or ()))].append((lhs, rhs))
+    si, ti = ends[first]
+    if si == ti:
+        forms = similarity_forms(field, shapes[first][0])
+    else:
+        forms = rank_forms(field, *shapes[first])
+    mats = [None] * n
+    stack = [forms]
+    while stack:
+        level = len(stack) - 1
+        for mat in stack[-1]:
+            mats[order[level]] = mat
+            if all(
+                _word_product(mats, lhs).is_zero() if rhs is None
+                else _word_product(mats, lhs) == _word_product(mats, rhs)
+                for lhs, rhs in checks[level]
+            ):
+                break
+        else:
+            stack.pop()
+            continue
+        if level == n - 1:
+            yield tuple(mats)
+        else:
+            stack.append(all_matrices(field, *shapes[order[level + 1]]))
+
+
 def _scan_catalog(pres, field, max_total, budget):
+    """Catalog, matrix tuples examined and tuples built; see
+    ``enumerate_indecomposables``."""
     if field.size is None:
         raise SearchSpaceTooLarge("exhaustive scans need a finite field")
     q = pres.quiver
-    arrow_idx = [
+    ends = [
         (q.vertices.index(a.source), q.vertices.index(a.target)) for a in q.arrows
     ]
+    position = {a.name: k for k, a in enumerate(q.arrows)}
+
+    def positions(word):
+        return tuple(position[a] for a in word)
+
+    relations = [(positions(w), None) for w in pres.zero_words()]
+    relations += [
+        (positions(lhs), positions(rhs)) for lhs, rhs in pres.commutation_pairs()
+    ]
     catalog = []
-    examined = 0
+    examined = tested = 0
     for total in range(1, max_total + 1):
         for dims in _compositions(total, len(q.vertices)):
             if not _support_connected(q, dims):
                 continue
-            cost = sum(dims[si] * dims[ti] for si, ti in arrow_idx)
+            shapes = [(dims[ti], dims[si]) for si, ti in ends]
+            cost = sum(r * c for r, c in shapes)
             if cost > budget:
                 raise BudgetExceeded(
                     f"dimension vector {dims} needs {cost} matrix entries,"
                     f" over the budget {budget}"
                 )
-            spaces = [
-                tuple(all_matrices(field, dims[ti], dims[si]))
-                for si, ti in arrow_idx
-            ]
+            examined += field.size ** cost
             found_here = []
-            for mats in itertools.product(*spaces):
-                examined += 1
+            for mats in _orbit_tuples(field, shapes, ends, relations):
+                tested += 1
                 m = Representation(pres, field, dims, mats)
                 if not check_relations(m)[0]:
                     continue
                 if _is_new_indecomposable(m, catalog, found_here):
                     found_here.append(m)
             catalog.extend(found_here)
-    return catalog, examined
+    return catalog, examined, tested
 
 
 def _weighted_multisets(entries, target):
@@ -937,10 +1005,18 @@ def enumerate_indecomposables(
     there ``budget`` caps the independent extension directions.  Both
     refuse loudly rather than returning a partial catalog.
 
-    ``examined`` counts the candidates considered: matrix tuples for
-    ``scan``; for ``closure`` the simples plus every nonzero class in
+    ``examined`` counts the candidates considered: every matrix tuple,
+    p^(matrix entries) per dimension vector, for ``scan``; for
+    ``closure`` the simples plus every nonzero class in
     Ext^1(B_1 + ... + B_n, S_v), over all direct sums and vertices.
-    ``tested`` counts the candidates built and tested; ``closure``
+    ``tested`` counts the candidates built and tested.  ``scan`` builds
+    only tuples whose largest arrow (the first in arrow order on ties)
+    is in normal form: a rank form [[I_r, 0], [0, 0]], or for a loop the
+    block-diagonal companion matrix of an invariant factor chain.  Base
+    change at the arrow's ends takes any tuple to one of these, so every
+    isomorphism class is still met.  The other arrows run over all
+    matrices, and a relation is checked as soon as its last arrow is
+    fixed, so tuples breaking it are never built.  ``closure``
     prunes, exactly, a class whose component on some summand B_k is zero
     (B_k splits off) or whose components on a repeated summand B_k^r are
     linearly dependent (a base change of B_k^r splits a copy off), and
@@ -948,10 +1024,11 @@ def enumerate_indecomposables(
     GL_r acting on B_k^r gives isomorphic extensions.
     """
     if max_total < 0:
-        raise ValueError("max_total must be nonnegative")
+        raise ValueError(f"max_total must be nonnegative, got {max_total}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     if method == "scan":
-        classes, examined = _scan_catalog(pres, field, max_total, budget)
-        tested = examined
+        classes, examined, tested = _scan_catalog(pres, field, max_total, budget)
     elif method == "closure":
         classes, examined, tested = _closure_catalog(pres, field, max_total, budget)
     else:

@@ -101,6 +101,95 @@ def test_enumerate_output_and_budget(capsys):
     assert code == 3 and "budget" in err
 
 
+# stdout of the exhaustive scan before it enumerated normal forms
+ENUMERATE_GOLDEN = {
+    ("except_100.datum", "2"): """\
+vertices: b, (i j), g
+class 1: 0 0 1
+class 2: 0 1 0
+class 3: 1 0 0
+class 4: 0 1 1
+class 5: 0 2 0
+class 6: 1 1 0
+class 7: 0 2 1
+class 8: 0 2 1
+class 9: 1 1 1
+class 10: 1 2 0
+class 11: 0 2 2
+class 12: 1 2 1
+class 13: 1 2 1
+total: 13 classes up to total dimension 4 over GF(2) (method scan, 75258 candidates)
+""",
+    ("kronecker_glue.datum", "3"): """\
+vertices: (1 3), 2
+class 1: 0 1
+class 2: 1 0
+class 3: 1 1
+class 4: 1 1
+class 5: 1 1
+class 6: 1 1
+class 7: 1 2
+class 8: 2 1
+class 9: 2 2
+class 10: 2 2
+class 11: 2 2
+class 12: 2 2
+class 13: 2 2
+class 14: 2 2
+class 15: 2 2
+total: 15 classes up to total dimension 4 over GF(3) (method scan, 8198 candidates)
+""",
+    ("glued_a2.datum", "2"): """\
+vertices: (1 2)
+class 1: 1
+class 2: 2
+total: 2 classes up to total dimension 4 over GF(2) (method scan, 66066 candidates)
+""",
+}
+
+
+def test_enumerate_scan_output_is_frozen(capsys):
+    for (name, p), want in ENUMERATE_GOLDEN.items():
+        code, out, _ = run(
+            capsys, "enumerate", path(name), "--field", p, "--max-dim", "4",
+            "--method", "scan",
+        )
+        assert code == 0 and out == want, name
+
+
+def test_negative_numeric_inputs_are_invalid(capsys, monkeypatch):
+    code, _, err = run(
+        capsys, "enumerate", path("glued_a2.datum"),
+        "--field", "2", "--max-dim", "2", "--budget", "-1",
+    )
+    assert code == 1 and "budget must be nonnegative, got -1" in err
+    code, _, err = run(
+        capsys, "enumerate", path("glued_a2.datum"), "--field", "2", "--max-dim", "-1"
+    )
+    assert code == 1 and "max_total must be nonnegative, got -1" in err
+    code, _, err = run(
+        capsys, "dimension", path("glued_a2.datum"), "--max-path-length", "-5"
+    )
+    assert code == 1 and "max_path_length must be nonnegative, got -5" in err
+    code, out, err = run(capsys, "functors-selftest", "--trials", "-1")
+    assert code == 1 and out == "" and "--trials must be nonnegative, got -1" in err
+    monkeypatch.setenv("NODALQ_ENUM_BUDGET", "-2")
+    code, _, err = run(
+        capsys, "enumerate", path("glued_a2.datum"), "--field", "2", "--max-dim", "2"
+    )
+    assert code == 1 and "budget must be nonnegative, got -2" in err
+    # zero stays a valid budget and length cap: they refuse with exit 3
+    code, _, err = run(
+        capsys, "enumerate", path("glued_a2.datum"),
+        "--field", "2", "--max-dim", "2", "--budget", "0",
+    )
+    assert code == 3 and "over the budget 0" in err
+    code, _, err = run(
+        capsys, "dimension", path("glued_a2.datum"), "--max-path-length", "0"
+    )
+    assert code == 3 and "length cap 0" in err
+
+
 def test_enumerate_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("NODALQ_ENUM_BUDGET", "1")
     code, _, err = run(

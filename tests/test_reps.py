@@ -10,6 +10,7 @@ from nodalq import (
     QQ,
     Arrow,
     BudgetExceeded,
+    Matrix,
     NodalDatum,
     Quiver,
     SearchSpaceTooLarge,
@@ -39,12 +40,14 @@ from nodalq import (
     zero_representation,
 )
 
+from nodalq.linalg import all_matrices, rank_forms, similarity_forms
 from nodalq.reps import _compositions
 from util import (
     closure_catalog,
     line_quiver,
     random_blow_datum,
     random_glue_datum,
+    scan_catalog,
     seeded,
 )
 
@@ -286,8 +289,97 @@ def test_closure_counts_tested_candidates():
     with pytest.raises(BudgetExceeded):
         enumerate_indecomposables(pres, F2, 7, budget=5, method="closure")
     assert enumerate_indecomposables(pres, F2, 7, budget=6, method="closure").count == 17
+    # the scan builds only tuples with one arrow in normal form whose
+    # relations hold
     scan = enumerate_indecomposables(A3, F2, 3)
-    assert scan.tested == scan.examined > 0
+    assert (scan.count, scan.examined, scan.tested) == (6, 33, 25)
+    assert scan.tested < scan.examined
+    scan = enumerate_indecomposables(pres, F2, 4)
+    assert (scan.count, scan.examined, scan.tested) == (13, 75258, 145)
+    # commutation relations prune early too
+    scan = enumerate_indecomposables(_corpus_presentation("blown_chain"), F2, 4)
+    assert (scan.count, scan.examined, scan.tested) == (11, 344, 148)
+
+
+def test_scan_normal_forms_match_exhaustive_oracle():
+    cases = [
+        (_corpus_presentation("except_100"), F2, 4, 16),
+        (_corpus_presentation("kronecker_glue"), F3, 4, 16),
+        (_corpus_presentation("glued_a2"), F2, 4, 16),  # a loop only
+        (_corpus_presentation("super_00"), F2, 3, 16),
+        (_corpus_presentation("blown_chain"), F2, 4, 16),
+    ]
+    for seed in range(32):
+        make = random_glue_datum if seed % 2 == 0 else random_blow_datum
+        pres, _ = build_presentation(make(seeded(seed), max_vertices=5))
+        cases.append((pres, F2 if seed % 4 < 2 else F3, 3, 9))
+    for pres, field, bound, budget in cases:
+        got = enumerate_indecomposables(pres, field, bound, budget=budget)
+        want, examined = scan_catalog(pres, field, bound, budget)
+        assert (got.count, got.examined) == (len(want), examined)
+        for c in got.classes:
+            matches = [w for w in want if w.dims == c.dims and has_summand(w, c)]
+            assert len(matches) == 1, c.dims
+
+
+def test_normal_forms_meet_every_orbit_once():
+    # brute force over the group: every matrix is similar to exactly one
+    # similarity form and equivalent to exactly one rank form
+    def invertible(field, n):
+        return [g for g in all_matrices(field, n, n) if g.is_invertible()]
+
+    for field, n in ((F2, 1), (F2, 2), (F2, 3), (F3, 1), (F3, 2)):
+        group = invertible(field, n)
+        inverse = {g: g.inverse() for g in group}
+        forms = list(similarity_forms(field, n))
+        hits = {m: 0 for m in all_matrices(field, n, n)}
+        for f in forms:
+            for m in {g * f * inverse[g] for g in group}:
+                hits[m] += 1
+        assert set(hits.values()) == {1}, (field, n)
+        # q, q^2 + q and q^3 + q^2 + q classes
+        assert len(forms) == sum(field.size ** k for k in range(1, n + 1))
+    # beyond brute force: up to n = 3 the characteristic polynomial (as
+    # its values) and the degree of the minimal polynomial decide the
+    # similarity class, so the q^3 + q^2 + q forms must differ there
+    def det(m):
+        total = 0
+        for perm in itertools.permutations(range(m.nrows)):
+            sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+            prod = 1
+            for i, j in enumerate(perm):
+                prod *= m.rows[i][j]
+            total += sign * prod
+        return total % m.field.size
+
+    def invariant(a):
+        ident = Matrix.identity(a.field, a.nrows)
+        powers = (ident, a, a * a)
+        span = Matrix(a.field, 3, a.nrows ** 2, tuple(sum(m.rows, ()) for m in powers))
+        return tuple(det(ident.scale(t) - a) for t in a.field.elements()), span.rank()
+
+    for field, n in ((F3, 3), (GF(5), 2), (GF(5), 3)):
+        forms = list(similarity_forms(field, n))
+        assert len(forms) == sum(field.size ** k for k in range(1, n + 1))
+        assert len({invariant(f) for f in forms}) == len(forms), (field, n)
+    shapes = [(F2, n, n) for n in (1, 2, 3)] + [(F3, 1, 1), (F3, 2, 2)]
+    shapes += [(F2, 2, 3), (F2, 3, 2), (F3, 1, 2), (F3, 2, 1), (F2, 0, 2)]
+    for field, nr, nc in shapes:
+        left, right = invertible(field, nr), invertible(field, nc)
+        hits = {m: 0 for m in all_matrices(field, nr, nc)}
+        for f in rank_forms(field, nr, nc):
+            for m in {x * h for x in {g * f for g in left} for h in right}:
+                hits[m] += 1
+        assert set(hits.values()) == {1}, (field, nr, nc)
+
+
+def test_scan_normalises_large_arrows():
+    # dims (4, 4) has 7^16 matrices; its rank forms leave 5 to build
+    r = enumerate_indecomposables(A2, GF(7), 8, budget=16)
+    assert r.count == 3
+    assert r.examined == sum(
+        7 ** (a * (t - a)) for t in range(1, 9) for a in range(t + 1)
+    )
 
 
 def test_enumerate_representatives_are_certified():

@@ -4,7 +4,8 @@ oracles the fast paths are compared against.
 The path-counting oracle walks the quiver directly with a memoized DFS
 and never touches the construction code, so an agreement is meaningful.
 The closure oracle is the unpruned extension enumerator: it builds every
-nonzero extension class of every direct sum of smaller classes.
+nonzero extension class of every direct sum of smaller classes.  The
+scan oracle builds every matrix tuple of every dimension vector.
 """
 
 from __future__ import annotations
@@ -12,10 +13,22 @@ from __future__ import annotations
 import itertools
 import random
 
-from nodalq import Arrow, BudgetExceeded, Matrix, NodalDatum, Quiver, Representation
+from nodalq import (
+    Arrow,
+    BudgetExceeded,
+    Matrix,
+    NodalDatum,
+    Quiver,
+    Representation,
+    SearchSpaceTooLarge,
+)
+from nodalq.linalg import all_matrices
 from nodalq.reps import (
+    _compositions,
     _is_new_indecomposable,
+    _support_connected,
     _weighted_multisets,
+    check_relations,
     direct_sum,
     path_matrix,
     simple_representation,
@@ -394,4 +407,42 @@ def closure_catalog(pres, field, max_total, budget):
                     if _is_new_indecomposable(m, catalog, same):
                         found.append(m)
         catalog.extend(found)
+    return catalog, examined
+
+
+# ---------------------------------------------------------------------------
+# exhaustive scan oracle
+
+def scan_catalog(pres, field, max_total, budget):
+    if field.size is None:
+        raise SearchSpaceTooLarge("exhaustive scans need a finite field")
+    q = pres.quiver
+    arrow_idx = [
+        (q.vertices.index(a.source), q.vertices.index(a.target)) for a in q.arrows
+    ]
+    catalog = []
+    examined = 0
+    for total in range(1, max_total + 1):
+        for dims in _compositions(total, len(q.vertices)):
+            if not _support_connected(q, dims):
+                continue
+            cost = sum(dims[si] * dims[ti] for si, ti in arrow_idx)
+            if cost > budget:
+                raise BudgetExceeded(
+                    f"dimension vector {dims} needs {cost} matrix entries,"
+                    f" over the budget {budget}"
+                )
+            spaces = [
+                tuple(all_matrices(field, dims[ti], dims[si]))
+                for si, ti in arrow_idx
+            ]
+            found_here = []
+            for mats in itertools.product(*spaces):
+                examined += 1
+                m = Representation(pres, field, dims, mats)
+                if not check_relations(m)[0]:
+                    continue
+                if _is_new_indecomposable(m, catalog, found_here):
+                    found_here.append(m)
+            catalog.extend(found_here)
     return catalog, examined
