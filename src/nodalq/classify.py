@@ -137,6 +137,16 @@ def _type_a_guard(q: Quiver) -> None:
         raise NotTypeA(f"base must have only line or cycle components: {msgs}")
 
 
+def _stripped(d: NodalDatum) -> NodalDatum:
+    """Validate a datum, require a line/cycle base and strip its
+    inessential gluings."""
+    report = validate(d)
+    if not report.ok:
+        raise InvalidDatum("; ".join(report.problems))
+    _type_a_guard(d.base)
+    return strip_inessential(d)
+
+
 def gabriel_type(q: Quiver) -> RepType:
     """Representation type of the hereditary algebra of an acyclic quiver."""
     if not q.is_acyclic():
@@ -213,11 +223,7 @@ def is_gentle_presentation(p: Presentation) -> GentleReport:
 def is_quasi_gentle(d: NodalDatum) -> bool:
     """True when, after stripping, every operated vertex has at most one
     in-arrow and at most one out-arrow in the base quiver."""
-    report = validate(d)
-    if not report.ok:
-        raise InvalidDatum("; ".join(report.problems))
-    _type_a_guard(d.base)
-    s = strip_inessential(d)
+    s = _stripped(d)
     operated = [v for pair in s.glue_pairs for v in pair]
     operated.extend(s.blow_vertices)
     base = d.base
@@ -309,11 +315,7 @@ def detect_exceptional(d: NodalDatum) -> Detection:
     component oriented so that the merged vertex carries an n-arrow
     cycle plus two mandatory pendant arrows with free tails.
     """
-    report = validate(d)
-    if not report.ok:
-        raise InvalidDatum("; ".join(report.problems))
-    _type_a_guard(d.base)
-    s = strip_inessential(d)
+    s = _stripped(d)
     if len(s.glue_pairs) != 1:
         return Detection(
             None, (f"need exactly one essential gluing, found {len(s.glue_pairs)}",)
@@ -355,11 +357,7 @@ def detect_exceptional(d: NodalDatum) -> Detection:
 def detect_super_exceptional(d: NodalDatum) -> Detection:
     """Recognize the n = 3 cycle shape with its middle arrow's endpoints
     glued by a second essential gluing."""
-    report = validate(d)
-    if not report.ok:
-        raise InvalidDatum("; ".join(report.problems))
-    _type_a_guard(d.base)
-    s = strip_inessential(d)
+    s = _stripped(d)
     if len(s.glue_pairs) != 2:
         return Detection(
             None, (f"need exactly two essential gluings, found {len(s.glue_pairs)}",)
@@ -457,12 +455,8 @@ def classify(d: NodalDatum) -> RepType:
     and combine by worst verdict (Finite < Tame < NonWildUnresolved <
     Wild).  The trace records each decision in order.
     """
-    report = validate(d)
-    if not report.ok:
-        raise InvalidDatum("; ".join(report.problems))
-    _type_a_guard(d.base)
+    s = _stripped(d)
     trace = []
-    s = strip_inessential(d)
     for pair in d.glue_pairs:
         if pair not in s.glue_pairs:
             trace.append(

@@ -104,10 +104,13 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _glue_reflection_agrees(m1, m2, f1, f2, pair, cap) -> bool:
-    # pushed-forward reps are isomorphic exactly when the originals agree
-    # after dropping simple summands at the pair, with equal drop counts
+def _reflects(m1, m2, f1, f2, pair, cap) -> bool:
+    # pushed-forward reps are isomorphic exactly when the originals are;
+    # after a gluing, when they agree after dropping simple summands at
+    # the pair, with equal drop counts
     left = is_isomorphic(f1, f2, cap=cap)
+    if pair is None:
+        return left == is_isomorphic(m1, m2, cap=cap)
     s1, c1 = strip_simple_summands(m1, pair)
     s2, c2 = strip_simple_summands(m2, pair)
     right = sum(c1.values()) == sum(c2.values()) and is_isomorphic(s1, s2, cap=cap)
@@ -129,83 +132,47 @@ def _cmd_selftest(args) -> int:
     base_chain = hereditary(
         Quiver(("1", "i", "2"), (Arrow("a", "1", "i"), Arrow("b", "i", "2")))
     )
+    # label, base, push-forward, glued pair, what it claims of isomorphism,
+    # and whether restriction must undo it
+    cases = (
+        ("inessential gluing", base_pair,
+         lambda m: glue_induce_inessential(m, "1", "2"), ("1", "2"), "reflect", True),
+        ("essential gluing", base_sources,
+         lambda m: glue_induce(m, "1", "3"), ("1", "3"), "reflect", False),
+        ("blow-up", base_chain,
+         lambda m: blow_induce(m, "i"), None, "preserve and reflect", False),
+    )
     for trial in range(args.trials):
         field = GF(2) if trial % 2 == 0 else GF(3)
-
-        m1 = random_representation(base_pair, field, rng)
-        m2 = random_representation(base_pair, field, rng)
-        f1 = glue_induce_inessential(m1, "1", "2")
-        f2 = glue_induce_inessential(m2, "1", "2")
-        for name, f in (("first", f1), ("second", f2)):
-            ok, problems = check_relations(f)
-            checks += 1
-            if not ok:
-                failures.append(
-                    f"trial {trial}: inessential gluing broke relations on the"
-                    f" {name} representation: {problems[0]}"
-                )
-        try:
-            checks += 1
-            if not _glue_reflection_agrees(m1, m2, f1, f2, ("1", "2"), cap):
-                failures.append(
-                    f"trial {trial}: inessential gluing does not reflect"
-                    " isomorphism"
-                )
-        except SearchSpaceTooLarge:
-            skipped += 1
-        s1, _ = strip_simple_summands(m1, ("1", "2"))
-        back = glue_restrict_inessential(
-            glue_induce_inessential(s1, "1", "2"), base_pair, "1", "2"
-        )
-        checks += 1
-        if back != s1:
-            failures.append(
-                f"trial {trial}: restriction after gluing did not recover the"
-                " stripped representation"
-            )
-
-        m1 = random_representation(base_sources, field, rng)
-        m2 = random_representation(base_sources, field, rng)
-        f1 = glue_induce(m1, "1", "3")
-        f2 = glue_induce(m2, "1", "3")
-        for name, f in (("first", f1), ("second", f2)):
-            ok, problems = check_relations(f)
-            checks += 1
-            if not ok:
-                failures.append(
-                    f"trial {trial}: essential gluing broke relations on the"
-                    f" {name} representation: {problems[0]}"
-                )
-        try:
-            checks += 1
-            if not _glue_reflection_agrees(m1, m2, f1, f2, ("1", "3"), cap):
-                failures.append(
-                    f"trial {trial}: essential gluing does not reflect isomorphism"
-                )
-        except SearchSpaceTooLarge:
-            skipped += 1
-
-        m1 = random_representation(base_chain, field, rng)
-        m2 = random_representation(base_chain, field, rng)
-        f1 = blow_induce(m1, "i")
-        f2 = blow_induce(m2, "i")
-        for name, f in (("first", f1), ("second", f2)):
-            ok, problems = check_relations(f)
-            checks += 1
-            if not ok:
-                failures.append(
-                    f"trial {trial}: blow-up broke relations on the"
-                    f" {name} representation: {problems[0]}"
-                )
-        try:
-            checks += 1
-            if is_isomorphic(f1, f2, cap=cap) != is_isomorphic(m1, m2, cap=cap):
-                failures.append(
-                    f"trial {trial}: blow-up does not preserve and reflect"
-                    " isomorphism"
-                )
-        except SearchSpaceTooLarge:
-            skipped += 1
+        for label, base, push, pair, claim, round_trip in cases:
+            m1 = random_representation(base, field, rng)
+            m2 = random_representation(base, field, rng)
+            f1, f2 = push(m1), push(m2)
+            for name, f in (("first", f1), ("second", f2)):
+                ok, problems = check_relations(f)
+                checks += 1
+                if not ok:
+                    failures.append(
+                        f"trial {trial}: {label} broke relations on the"
+                        f" {name} representation: {problems[0]}"
+                    )
+            try:
+                checks += 1
+                if not _reflects(m1, m2, f1, f2, pair, cap):
+                    failures.append(
+                        f"trial {trial}: {label} does not {claim} isomorphism"
+                    )
+            except SearchSpaceTooLarge:
+                skipped += 1
+            if round_trip:
+                s1, _ = strip_simple_summands(m1, pair)
+                back = glue_restrict_inessential(push(s1), base, *pair)
+                checks += 1
+                if back != s1:
+                    failures.append(
+                        f"trial {trial}: restriction after gluing did not recover"
+                        " the stripped representation"
+                    )
 
     for line in failures:
         print(line)

@@ -17,7 +17,7 @@ order so that derived ids come out canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .quiver import (
     Arrow,
@@ -73,18 +73,12 @@ def merged_vertex_id(i: str, j: str) -> str:
     return f"({i} {j})"
 
 
-def _primed(name: str) -> str:
+def _prime(name: str, marks: str) -> str:
     # wrap already-derived names so a''-style ids never collide when an
     # arrow joins two blown vertices
     if name.endswith("'"):
         name = f"({name})"
-    return name + "'"
-
-
-def _double_primed(name: str) -> str:
-    if name.endswith("'"):
-        name = f"({name})"
-    return name + "''"
+    return name + marks
 
 
 def validate(d: NodalDatum) -> ValidationReport:
@@ -118,10 +112,14 @@ def validate(d: NodalDatum) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems))
 
 
-def _remap_path(p: Path, q: Quiver, arrow_name_map) -> Path:
-    if not p.arrows:
-        raise ValueError("relations never contain empty paths")
-    return Path(q, tuple(arrow_name_map(a) for a in p.arrows))
+def _remap(r, q: Quiver, rename=lambda a: a):
+    """The relation ``r`` rebuilt over ``q`` with its arrows renamed."""
+    if isinstance(r, MonomialZero):
+        return MonomialZero(Path(q, tuple(map(rename, r.path.arrows))))
+    return Commutation(
+        Path(q, tuple(map(rename, r.lhs.arrows))),
+        Path(q, tuple(map(rename, r.rhs.arrows))),
+    )
 
 
 def glue_presentation(pres: Presentation, i: str, j: str, merged_id=None):
@@ -150,17 +148,7 @@ def glue_presentation(pres: Presentation, i: str, j: str, merged_id=None):
     arrows = tuple(Arrow(a.name, vmap(a.source), vmap(a.target)) for a in q.arrows)
     new_q = Quiver(tuple(vertices), arrows)
 
-    rels = set()
-    for r in pres.relations:
-        if isinstance(r, MonomialZero):
-            rels.add(MonomialZero(_remap_path(r.path, new_q, lambda a: a)))
-        else:
-            rels.add(
-                Commutation(
-                    _remap_path(r.lhs, new_q, lambda a: a),
-                    _remap_path(r.rhs, new_q, lambda a: a),
-                )
-            )
+    rels = {_remap(r, new_q) for r in pres.relations}
     # kill every passage through the merged vertex that crosses sides
     for out_v, in_v in ((i, j), (j, i)):
         for a in q.out_arrows(out_v):
@@ -179,7 +167,7 @@ def blow_presentation(pres: Presentation, v: str):
         raise InvalidDatum(f"blow vertex {v!r} not in quiver")
     if any(a.source == v and a.target == v for a in q.arrows):
         raise InvalidDatum(f"cannot blow up {v!r}: it carries a loop")
-    v1, v2 = _primed(v), _double_primed(v)
+    v1, v2 = _prime(v, "'"), _prime(v, "''")
     vertices = []
     for u in q.vertices:
         if u == v:
@@ -192,57 +180,33 @@ def blow_presentation(pres: Presentation, v: str):
     arrow_map = {}
     for a in q.arrows:
         if a.name in incident:
-            s1 = v1 if a.source == v else a.source
-            t1 = v1 if a.target == v else a.target
-            s2 = v2 if a.source == v else a.source
-            t2 = v2 if a.target == v else a.target
-            n1, n2 = _primed(a.name), _double_primed(a.name)
-            arrows.append(Arrow(n1, s1, t1))
-            arrows.append(Arrow(n2, s2, t2))
-            arrow_map[a.name] = (n1, n2)
+            copies = tuple(
+                Arrow(_prime(a.name, marks), u if a.source == v else a.source,
+                      u if a.target == v else a.target)
+                for u, marks in ((v1, "'"), (v2, "''"))
+            )
+            arrows.extend(copies)
+            arrow_map[a.name] = tuple(c.name for c in copies)
         else:
             arrows.append(a)
             arrow_map[a.name] = (a.name,)
     new_q = Quiver(tuple(vertices), tuple(arrows))
 
+    # each relation once per copy; one untouched by v comes out the same
+    # both times and the set keeps one
     rels = set()
-    for r in pres.relations:
-        if isinstance(r, MonomialZero):
-            words = [r.path.arrows]
-        else:
-            words = [r.lhs.arrows, r.rhs.arrows]
-        touches = any(a in incident for w in words for a in w)
-        if not touches:
-            if isinstance(r, MonomialZero):
-                rels.add(MonomialZero(_remap_path(r.path, new_q, lambda a: a)))
-            else:
-                rels.add(
-                    Commutation(
-                        _remap_path(r.lhs, new_q, lambda a: a),
-                        _remap_path(r.rhs, new_q, lambda a: a),
-                    )
-                )
-            continue
-        for prime in (_primed, _double_primed):
-            def nm(a, prime=prime):
-                return prime(a) if a in incident else a
+    for marks in ("'", "''"):
+        def rename(a, marks=marks):
+            return _prime(a, marks) if a in incident else a
 
-            if isinstance(r, MonomialZero):
-                rels.add(MonomialZero(_remap_path(r.path, new_q, nm)))
-            else:
-                rels.add(
-                    Commutation(
-                        _remap_path(r.lhs, new_q, nm),
-                        _remap_path(r.rhs, new_q, nm),
-                    )
-                )
+        rels.update(_remap(r, new_q, rename) for r in pres.relations)
     # the two copies of any passage through v agree
     for a in q.out_arrows(v):
         for b in q.in_arrows(v):
             rels.add(
                 Commutation(
-                    Path(new_q, (_primed(a.name), _primed(b.name))),
-                    Path(new_q, (_double_primed(a.name), _double_primed(b.name))),
+                    Path(new_q, (_prime(a.name, "'"), _prime(b.name, "'"))),
+                    Path(new_q, (_prime(a.name, "''"), _prime(b.name, "''"))),
                 )
             )
 

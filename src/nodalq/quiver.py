@@ -13,9 +13,8 @@ commutation relations (two parallel paths are declared equal).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 
 class QuiverError(ValueError):
@@ -127,18 +126,6 @@ class Quiver:
             seen |= comp
             comps.append(tuple(x for x in self.vertices if x in comp))
         return tuple(comps)
-
-
-def arrows_at(q: Quiver, v: str, direction: str) -> tuple[Arrow, ...]:
-    """Arrows incident to ``v``; ``direction`` is ``"in"`` or ``"out"``.
-
-    A loop at ``v`` is reported in both directions.
-    """
-    if direction == "in":
-        return q.in_arrows(v)
-    if direction == "out":
-        return q.out_arrows(v)
-    raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
 
 
 @dataclass(frozen=True)

@@ -279,15 +279,12 @@ def _columns_matrix(field, height, cols) -> Matrix:
     return Matrix(field, height, len(cols), rows)
 
 
-def simple_summand_multiplicity(m: Representation, v: str) -> int:
-    """Multiplicity of the one-dimensional representation at ``v`` as a
-    direct summand: the part of the joint out-kernel sticking out of the
-    joint in-image."""
+def _kernel_and_image(m: Representation, v: str):
+    """Column bases of the joint kernel of the arrows out of ``v`` and of
+    the joint image of the arrows into ``v``."""
     q = m.pres.quiver
     field = m.field
     dv = m.dim(v)
-    if dv == 0:
-        return 0
     outs = [m.mat(a.name) for a in q.out_arrows(v)]
     if outs:
         stacked = outs[0]
@@ -304,6 +301,16 @@ def simple_summand_multiplicity(m: Representation, v: str) -> int:
         image = joined.column_space_basis()
     else:
         image = Matrix.zeros(field, dv, 0)
+    return kernel, image
+
+
+def simple_summand_multiplicity(m: Representation, v: str) -> int:
+    """Multiplicity of the one-dimensional representation at ``v`` as a
+    direct summand: the part of the joint out-kernel sticking out of the
+    joint in-image."""
+    if m.dim(v) == 0:
+        return 0
+    kernel, image = _kernel_and_image(m, v)
     return kernel.hstack(image).rank() - image.ncols
 
 
@@ -577,20 +584,14 @@ def blow_induce(m: Representation, v: str) -> Representation:
     return Representation(blown, m.field, tuple(dims), mats)
 
 
-def _quotient_data(field, dim, kernel_cols: Matrix):
-    """Deterministic section and projection for space/kernel.
-
-    Returns (section, projection): projection maps coordinates onto the
-    quotient, the section picks standard basis vectors at the non-pivot
-    coordinates of the kernel basis.
-    """
-    d0 = kernel_cols.ncols
-    if d0 == 0:
-        ident = Matrix.identity(field, dim)
-        return ident, ident
+def _section(field, dim, kernel_cols: Matrix) -> Matrix:
+    """Deterministic section of space -> space/kernel: the standard basis
+    vectors at the non-pivot coordinates of the kernel basis."""
+    if kernel_cols.ncols == 0:
+        return Matrix.identity(field, dim)
     pivots = kernel_cols.transpose().rref()[1]
     free = [k for k in range(dim) if k not in pivots]
-    section = Matrix(
+    return Matrix(
         field,
         dim,
         len(free),
@@ -599,10 +600,6 @@ def _quotient_data(field, dim, kernel_cols: Matrix):
             for r in range(dim)
         ),
     )
-    full = kernel_cols.hstack(section)
-    proj_rows = full.inverse().rows[d0:]
-    projection = Matrix(field, dim - d0, dim, tuple(proj_rows))
-    return section, projection
 
 
 def glue_restrict_inessential(
@@ -634,27 +631,9 @@ def glue_restrict_inessential(
         )
     field = n.field
     w = vmap[i][0]
-    gq = glued.quiver
     dw = n.dim(w)
-
-    starting = [n.mat(a.name) for a in gq.out_arrows(w)]
-    if starting:
-        stacked = starting[0]
-        for x in starting[1:]:
-            stacked = stacked.vstack(x)
-        kernel = _columns_matrix(field, dw, stacked.nullspace())
-    else:
-        kernel = Matrix.identity(field, dw)
-    section, projection = _quotient_data(field, dw, kernel)
-
-    ending = [n.mat(a.name) for a in gq.in_arrows(w)]
-    if ending:
-        joined = ending[0]
-        for x in ending[1:]:
-            joined = joined.hstack(x)
-        image = joined.column_space_basis()
-    else:
-        image = Matrix.zeros(field, dw, 0)
+    kernel, image = _kernel_and_image(n, w)
+    section = _section(field, dw, kernel)
 
     dims = []
     for v in bq.vertices:
@@ -842,19 +821,18 @@ def _scan_catalog(pres, field, max_total, budget):
 
 
 def _weighted_multisets(entries, target):
-    """Multisets over (index, weight) entries with weights summing to target."""
-
-    def rec(start, left):
+    """Multisets over (index, weight) entries with weights summing to
+    target, as nondecreasing index tuples in lexicographic order.  The
+    walk keeps its own stack, so its depth is not bounded by recursion."""
+    stack = [(0, target, ())]
+    while stack:
+        start, left, picks = stack.pop()
         if left == 0:
-            yield ()
-            return
-        for k in range(start, len(entries)):
-            w = entries[k][1]
-            if w <= left:
-                for rest in rec(k, left - w):
-                    yield (k,) + rest
-
-    yield from rec(0, target)
+            yield picks
+            continue
+        stack.extend((k, left - entries[k][1], picks + (k,))
+                     for k in reversed(range(start, len(entries)))
+                     if entries[k][1] <= left)
 
 
 def _ext_basis(base, v) -> Matrix:

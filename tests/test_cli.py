@@ -232,6 +232,27 @@ def test_functors_selftest(capsys):
     code, out, _ = run(capsys, "functors-selftest", "--trials", "3", "--seed", "7")
     assert code == 0
     assert out.startswith("selftest passed:")
+    code, out, _ = run(capsys, "functors-selftest", "--trials", "10", "--seed", "1")
+    assert code == 0
+    assert out == "selftest passed: 100 checks, 1 skipped at search caps\n"
+    code, out, _ = run(capsys, "functors-selftest", "--trials", "25", "--seed", "42")
+    assert code == 0
+    assert out == "selftest passed: 250 checks, 2 skipped at search caps\n"
+
+
+def test_functors_selftest_reports_each_failure(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "nodalq.cli.check_relations", lambda m: (False, ("word x does not vanish",))
+    )
+    code, out, _ = run(capsys, "functors-selftest", "--trials", "1", "--seed", "0")
+    assert code == 1
+    expected = [
+        f"trial 0: {case} broke relations on the {which} representation:"
+        " word x does not vanish"
+        for case in ("inessential gluing", "essential gluing", "blow-up")
+        for which in ("first", "second")
+    ]
+    assert out.splitlines() == expected + ["selftest FAILED: 6 of 10 checks"]
 
 
 def test_enumerate_long_line_within_a_small_recursion_limit(tmp_path, nodalq_on_path):
@@ -249,6 +270,21 @@ def test_enumerate_long_line_within_a_small_recursion_limit(tmp_path, nodalq_on_
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "total: 300 classes" in proc.stdout
+
+
+def test_enumerate_closure_high_bound_within_a_small_recursion_limit(tmp_path, nodalq_on_path):
+    # the closure must not recurse once per summand of a direct sum
+    datum = tmp_path / "point.datum"
+    datum.write_text("vertices v\n", encoding="utf-8")
+    code = (
+        "import sys; sys.setrecursionlimit(150)\n"
+        "from nodalq.cli import run_cli\n"
+        f"sys.exit(run_cli(['enumerate', {str(datum)!r}, '--field', '2',"
+        " '--max-dim', '200', '--method', 'closure']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "total: 1 classes" in proc.stdout
 
 
 def test_console_script_entry(nodalq_on_path):

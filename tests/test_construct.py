@@ -14,6 +14,7 @@ from nodalq import (
     glue_presentation,
     hereditary,
     merged_vertex_id,
+    parse_datum,
     relation_strings,
     validate,
 )
@@ -53,6 +54,33 @@ def test_worked_example_golden():
     assert vmap.vertex_map["v6"] == ("v6'", "v6''")
     assert vmap.arrow_map["a5"] == ("a5'", "a5''")
     assert vmap.arrow_map["a1"] == ("a1",)
+
+
+def test_glue_then_adjacent_blow_ups_golden():
+    # the second blow-up re-primes arrow b, which the first already split,
+    # and duplicates the commutation the first one imposed
+    d = parse_datum(
+        "vertices 1 2 3 4 5\n"
+        "arrow a : 1 -> 2\n"
+        "arrow b : 2 -> 3\n"
+        "arrow c : 3 -> 4\n"
+        "arrow d : 4 -> 5\n"
+        "glue 1 5\n"
+        "blow 2\n"
+        "blow 3\n"
+    )
+    pres, vmap = build_presentation(d)
+    assert pres.quiver.vertices == ("(1 5)", "2'", "2''", "3'", "3''", "4")
+    assert vmap.arrow_map["b"] == ("(b')'", "(b')''", "(b'')'", "(b'')''")
+    assert relation_strings(pres) == (
+        "a'·d = 0",
+        "a''·d = 0",
+        "(b')'·a' = (b'')'·a''",
+        "(b')''·a' = (b'')''·a''",
+        "c'·(b'')' = c''·(b'')''",
+        "c'·(b')' = c''·(b')''",
+    )
+    assert dimension(pres) == 25
 
 
 def test_glued_line_gives_dual_numbers():

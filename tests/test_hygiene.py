@@ -1,0 +1,37 @@
+"""Source hygiene checks that need nothing beyond the standard library."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "nodalq"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names bound by the module-level imports of ``path`` and never used.
+
+    ``from __future__`` imports bind no name.  A name counts as used when
+    it appears anywhere in the module as an identifier, which includes
+    annotations and the base of an attribute access.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.append(alias.asname or alias.name.split(".")[0])
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_no_unused_module_imports():
+    # the package's __init__ imports only to re-export
+    found = {
+        p.name: unused_imports(p)
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "__init__.py"
+    }
+    assert {name: names for name, names in found.items() if names} == {}

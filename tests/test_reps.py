@@ -41,7 +41,7 @@ from nodalq import (
 )
 
 from nodalq.linalg import all_matrices, rank_forms, similarity_forms
-from nodalq.reps import _compositions
+from nodalq.reps import _compositions, _weighted_multisets
 from util import (
     closure_catalog,
     line_quiver,
@@ -254,6 +254,28 @@ def test_compositions_keep_the_recursive_order():
     for total in range(7):
         for parts in range(1, 6):
             assert list(_compositions(total, parts)) == list(recursive(total, parts))
+
+
+def test_weighted_multisets_keep_the_recursive_order():
+    # the order of multisets decides the closure's class numbering
+    def recursive(entries, target):
+        def rec(start, left):
+            if left == 0:
+                yield ()
+                return
+            for k in range(start, len(entries)):
+                w = entries[k][1]
+                if w <= left:
+                    for rest in rec(k, left - w):
+                        yield (k,) + rest
+
+        yield from rec(0, target)
+
+    rng = seeded(20261018)
+    for _ in range(300):
+        entries = [(k, rng.randint(1, 4)) for k in range(rng.randint(0, 6))]
+        target = rng.randint(0, 9)
+        assert list(_weighted_multisets(entries, target)) == list(recursive(entries, target))
 
 
 def _corpus_presentation(name):
