@@ -24,9 +24,14 @@ enumeration strategies for such catalogs over a finite field:
   basis per (class, vertex) is computed once, and extension classes that
   visibly split are pruned before any Hom space is solved.
 
-Every isomorphism decision inside the enumerators goes through the
-basis-pair test of ``has_summand``, which is exact for indecomposable
-probes and never samples.
+Both enumerators decide a candidate by Fitting's lemma on its
+endomorphism ring (``_end_ring_local``): one End solve either splits it
+or certifies End local with residue field GF(p), and then only classes
+of its own dimension vector can be isomorphic to it.  A larger residue
+field GF(p^d) leaves the certificate undecided, and such a candidate is
+probed against every smaller class instead.  Summand and isomorphism
+probes go through the basis-pair test of ``has_summand``, which is
+exact for indecomposable probes and never samples.
 """
 
 from __future__ import annotations
@@ -705,14 +710,79 @@ def _support_connected(q, dims) -> bool:
     return seen == support
 
 
+def _fitting_power(block: Matrix) -> Matrix:
+    """``block`` raised to a power at least its size, by squaring: its
+    kernel and image have stopped changing there."""
+    size = 1
+    while size < block.nrows:
+        block = block * block
+        size *= 2
+    return block
+
+
+def _end_ring_local(m):
+    """Whether End(m) is local: True, False or None when undecided.
+
+    By Fitting's lemma an endomorphism h splits m as ker h^N + im h^N,
+    so a shift b - λ of an End basis element b that is neither nilpotent
+    nor invertible proves False.  If every b has a nilpotent shift, End
+    = k.1 + J with J the span of those shifts.  True needs J nilpotent,
+    seen as the chain m > Jm > J^2 m > ... reaching zero.  Then the
+    products of elements of J span a nilpotent ideal, which misses 1 and
+    so is J itself: J is the radical, End/J is the prime field, and m is
+    absolutely indecomposable.  A b with no nilpotent shift (a residue
+    field larger than GF(p)) or a chain that stalls leaves it open.
+    """
+    end = hom_space(m, m)
+    if end.dim == 1:
+        return True
+    ones = [Matrix.identity(m.field, d) for d in m.dims]
+    radical = []
+    for b in end.basis:
+        for lam in m.field.elements():
+            h = [x - one.scale(lam) for x, one in zip(b.blocks, ones)]
+            power = [_fitting_power(x) for x in h]
+            if all(x.is_zero() for x in power):
+                radical.append(h)
+                break
+            if not all(x.is_invertible() for x in power):
+                return False
+    if len(radical) < end.dim:
+        return None
+    layer = ones  # per vertex, a column basis of J^k m
+    while any(w.ncols for w in layer):
+        below = []
+        for v, w in enumerate(layer):
+            span = Matrix.zeros(m.field, m.dims[v], 0)
+            for h in radical:
+                span = span.hstack(h[v] * w)
+            below.append(span.column_space_basis())
+        if sum(w.ncols for w in below) == sum(w.ncols for w in layer):
+            return None
+        layer = below
+    return True
+
+
 def _is_new_indecomposable(m, catalog, same_dimvec) -> bool:
+    """Whether ``m`` is indecomposable and isomorphic to no module of
+    ``same_dimvec``; ``catalog`` holds every smaller indecomposable.
+
+    The End-ring certificate decides most candidates; where it cannot,
+    every smaller class that fits is probed as a summand.  Both are
+    exact, and so is the final isomorphism probe, since ``has_summand``
+    is exact for an indecomposable of the same dimension vector.
+    """
     if m.total > 1:
         if any(has_simple_summand_at(m, v) for v in m.pres.quiver.vertices):
             return False
-        for u in catalog:
-            if u.total < m.total and all(a <= b for a, b in zip(u.dims, m.dims)):
-                if has_summand(m, u):
-                    return False
+        local = _end_ring_local(m)
+        if local is False:
+            return False
+        if local is None and any(
+            has_summand(m, u) for u in catalog
+            if u.total < m.total and all(a <= b for a, b in zip(u.dims, m.dims))
+        ):
+            return False
     for u in same_dimvec:
         if has_summand(m, u):
             return False
@@ -1000,6 +1070,11 @@ def enumerate_indecomposables(
     linearly dependent (a base change of B_k^r splits a copy off), and
     builds one class per r-dimensional span of components, since
     GL_r acting on B_k^r gives isomorphic extensions.
+
+    Each tested candidate is kept when it is indecomposable and matches
+    no class found before it.  Indecomposability is decided from
+    End(candidate) by Fitting's lemma; where the residue field is larger
+    than GF(p) every smaller class is probed as a summand instead.
     """
     if max_total < 0:
         raise ValueError(f"max_total must be nonnegative, got {max_total}")

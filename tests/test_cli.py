@@ -5,7 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from nodalq.cli import run_cli
+from nodalq import (
+    GF,
+    Arrow,
+    Quiver,
+    blow_induce,
+    glue_induce,
+    hereditary,
+    make_representation,
+    simple_representation,
+)
+from nodalq.cli import _reflects, run_cli
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -148,11 +158,84 @@ total: 2 classes up to total dimension 4 over GF(2) (method scan, 66066 candidat
 }
 
 
+# kronecker_glue over GF(2) reaches modules whose End ring is GF(4),
+# which the End-ring certificate leaves to the summand probes
+CLOSURE_GOLDEN = {
+    ("except_100.datum", "2", "7"): """\
+vertices: b, (i j), g
+class 1: 1 0 0
+class 2: 0 1 0
+class 3: 0 0 1
+class 4: 1 1 0
+class 5: 0 2 0
+class 6: 0 1 1
+class 7: 1 2 0
+class 8: 1 1 1
+class 9: 0 2 1
+class 10: 0 2 1
+class 11: 1 2 1
+class 12: 1 2 1
+class 13: 0 2 2
+class 14: 1 2 2
+class 15: 1 3 1
+class 16: 1 3 2
+class 17: 1 4 2
+total: 17 classes up to total dimension 7 over GF(2) (method closure, 5472 candidates)
+""",
+    ("blown_chain.datum", "2", "7"): """\
+vertices: 1, i', i'', 2
+class 1: 1 0 0 0
+class 2: 0 1 0 0
+class 3: 0 0 1 0
+class 4: 0 0 0 1
+class 5: 1 1 0 0
+class 6: 1 0 1 0
+class 7: 0 1 0 1
+class 8: 0 0 1 1
+class 9: 0 1 1 1
+class 10: 1 1 1 0
+class 11: 1 1 1 1
+total: 11 classes up to total dimension 7 over GF(2) (method closure, 6392 candidates)
+""",
+    ("kronecker_glue.datum", "2", "6"): """\
+vertices: (1 3), 2
+class 1: 1 0
+class 2: 0 1
+class 3: 1 1
+class 4: 1 1
+class 5: 1 1
+class 6: 2 1
+class 7: 1 2
+class 8: 2 2
+class 9: 2 2
+class 10: 2 2
+class 11: 2 2
+class 12: 3 2
+class 13: 2 3
+class 14: 3 3
+class 15: 3 3
+class 16: 3 3
+class 17: 3 3
+class 18: 3 3
+total: 18 classes up to total dimension 6 over GF(2) (method closure, 2946 candidates)
+""",
+}
+
+
 def test_enumerate_scan_output_is_frozen(capsys):
     for (name, p), want in ENUMERATE_GOLDEN.items():
         code, out, _ = run(
             capsys, "enumerate", path(name), "--field", p, "--max-dim", "4",
             "--method", "scan",
+        )
+        assert code == 0 and out == want, name
+
+
+def test_enumerate_closure_output_is_frozen(capsys):
+    for (name, p, bound), want in CLOSURE_GOLDEN.items():
+        code, out, _ = run(
+            capsys, "enumerate", path(name), "--field", p, "--max-dim", bound,
+            "--method", "closure",
         )
         assert code == 0 and out == want, name
 
@@ -238,6 +321,21 @@ def test_functors_selftest(capsys):
     code, out, _ = run(capsys, "functors-selftest", "--trials", "25", "--seed", "42")
     assert code == 0
     assert out == "selftest passed: 250 checks, 2 skipped at search caps\n"
+
+
+def test_selftest_reflection_check_sees_non_isomorphic_sources():
+    # equal push-forwards of non-isomorphic representations must fail
+    # the check, for the blow-up and for a glued pair
+    field = GF(2)
+    chain = hereditary(Quiver(("1", "i", "2"), (Arrow("a", "1", "i"), Arrow("b", "i", "2"))))
+    m1, m2 = simple_representation(chain, field, "i"), simple_representation(chain, field, "1")
+    f = blow_induce(m1, "i")
+    assert not _reflects(m1, m2, f, f, None, 2 ** 14)
+    sources = hereditary(Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "3", "2"))))
+    m1 = simple_representation(sources, field, "2")
+    m2 = make_representation(sources, field, {"1": 1, "2": 1}, {"a": [[1]]})
+    f = glue_induce(m1, "1", "3")
+    assert not _reflects(m1, m2, f, f, ("1", "3"), 2 ** 14)
 
 
 def test_functors_selftest_reports_each_failure(capsys, monkeypatch):

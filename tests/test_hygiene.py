@@ -35,3 +35,28 @@ def test_no_unused_module_imports():
         if p.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unreferenced_private_definitions(paths) -> list[str]:
+    """Module-level ``_private`` functions and classes of ``paths`` that no
+    module among them uses: by name, as an attribute or in an import."""
+    defined, used = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (
+                node.name.startswith("_") and not node.name.startswith("__")
+            ):
+                defined.append(f"{path.name}:{node.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [d for d in defined if d.split(":")[1] not in used]
+
+
+def test_no_unreferenced_private_definitions():
+    assert unreferenced_private_definitions(sorted(SRC.glob("*.py"))) == []

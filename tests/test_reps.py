@@ -10,7 +10,9 @@ from nodalq import (
     QQ,
     Arrow,
     BudgetExceeded,
+    HomSpace,
     Matrix,
+    Morphism,
     NodalDatum,
     Quiver,
     SearchSpaceTooLarge,
@@ -41,14 +43,16 @@ from nodalq import (
 )
 
 from nodalq.linalg import all_matrices, rank_forms, similarity_forms
-from nodalq.reps import _compositions, _weighted_multisets
+from nodalq.reps import _compositions, _end_ring_local, _weighted_multisets
 from util import (
     closure_catalog,
+    is_new_indecomposable_by_probes,
     line_quiver,
     random_blow_datum,
     random_glue_datum,
     scan_catalog,
     seeded,
+    unpruned_candidates,
 )
 
 F2 = GF(2)
@@ -402,6 +406,77 @@ def test_scan_normalises_large_arrows():
     assert r.examined == sum(
         7 ** (a * (t - a)) for t in range(1, 9) for a in range(t + 1)
     )
+
+
+def test_end_ring_certificate_agrees_with_summand_probes():
+    cases = [
+        (_corpus_presentation("except_100"), F2, 5),
+        (_corpus_presentation("super_00"), F2, 4),
+        (_corpus_presentation("blown_chain"), F3, 4),
+        (_corpus_presentation("kronecker_glue"), F2, 5),
+        (_corpus_presentation("kronecker_glue"), F3, 4),
+    ]
+    for seed in range(16):
+        make = random_glue_datum if seed % 2 == 0 else random_blow_datum
+        pres, _ = build_presentation(make(seeded(seed), max_vertices=5))
+        cases.append((pres, F2 if seed % 4 < 2 else F3, 4))
+    tally = {True: 0, False: 0, None: 0}
+    swept = 0
+    for k, (pres, field, total) in enumerate(cases):
+        catalog, _ = closure_catalog(pres, field, total - 1, 64)
+        verdicts = {True: [], False: [], None: []}
+        for m in unpruned_candidates(pres, field, catalog, total, 64):
+            verdicts[_end_ring_local(m)].append(m)
+        for local, ms in verdicts.items():
+            tally[local] += len(ms)
+        # nearly every unpruned candidate splits: check a sample of those
+        split = seeded(k).sample(verdicts[False], min(20, len(verdicts[False])))
+        for local, ms in ((True, verdicts[True]), (False, split)):
+            for m in ms:
+                # the catalog holds every smaller indecomposable, so the
+                # probes decide indecomposability exactly
+                assert is_new_indecomposable_by_probes(m, catalog, ()) is local, m.dims
+                try:
+                    sweep = is_indecomposable(m, cap=2 ** 10)
+                except SearchSpaceTooLarge:
+                    continue
+                assert sweep is local, m.dims
+                swept += 1
+    assert tally[True] > 100 and tally[False] > 1000 and tally[None] > 0, tally
+    assert swept > 300, swept
+
+
+def test_end_ring_certificate_decides_or_falls_back(monkeypatch):
+    kronecker = hereditary(Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2"))))
+    # a = I, b = the companion matrix of x^2 + x + 1: End is GF(4), a
+    # field, so the module is indecomposable but not absolutely so
+    quadratic = make_representation(
+        kronecker, F2, {"1": 2, "2": 2}, {"a": [[1, 0], [0, 1]], "b": [[0, 1], [1, 1]]})
+    assert hom_space(quadratic, quadratic).dim == 2
+    assert _end_ring_local(quadratic) is None
+    catalog = enumerate_indecomposables(kronecker, F2, 4, budget=64, method="closure")
+    assert sum(has_summand(c, quadratic) for c in catalog.classes if c.dims == (2, 2)) == 1
+    # split modules: End(S + S) is a full matrix ring, and End(P + S)
+    # holds the projection onto P
+    s1 = simple_representation(A2, F2, "v0")
+    assert _end_ring_local(direct_sum(s1, s1)) is False
+    p1 = make_representation(A2, F2, {"v0": 1, "v1": 1}, {"va0": [[1]]})
+    assert _end_ring_local(direct_sum(p1, simple_representation(A2, F2, "v1"))) is False
+    # a basis of End(S + S) = M_2(GF(3)) in which every element is a
+    # scalar plus a nilpotent: only the radical chain sees End is not local
+    twice = direct_sum(*[simple_representation(A2, F3, "v0")] * 2)
+    rebased = HomSpace(twice, twice, tuple(
+        Morphism(twice, twice, (Matrix.from_rows(F3, rows), Matrix.zeros(F3, 0, 0)))
+        for rows in ([[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [2, 0]])
+    ))
+    monkeypatch.setattr("nodalq.reps.hom_space", lambda m, n: rebased)
+    assert _end_ring_local(twice) is None
+    monkeypatch.undo()
+    # the dual numbers as a module over themselves: End is local of dimension 2
+    free = make_representation(_dual_numbers(), F3, {"(v0 v1)": 2}, {"va0": [[0, 0], [1, 0]]})
+    assert hom_space(free, free).dim == 2
+    assert _end_ring_local(free) is True
+    assert _end_ring_local(p1) is True
 
 
 def test_enumerate_representatives_are_certified():

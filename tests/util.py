@@ -5,7 +5,9 @@ The path-counting oracle walks the quiver directly with a memoized DFS
 and never touches the construction code, so an agreement is meaningful.
 The closure oracle is the unpruned extension enumerator: it builds every
 nonzero extension class of every direct sum of smaller classes.  The
-scan oracle builds every matrix tuple of every dimension vector.
+scan oracle builds every matrix tuple of every dimension vector.  Both
+decide each candidate by probing every smaller class as a summand, never
+by the End-ring certificate the enumerators under test use.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from nodalq import (
 from nodalq.linalg import all_matrices
 from nodalq.reps import (
     _compositions,
-    _is_new_indecomposable,
     _support_connected,
     _weighted_multisets,
     check_relations,
     direct_sum,
+    has_simple_summand_at,
+    has_summand,
     path_matrix,
     simple_representation,
 )
@@ -258,6 +261,23 @@ def seeded(seed):
 
 
 # ---------------------------------------------------------------------------
+# the summand-probe decision, the reference for the End-ring certificate
+
+def is_new_indecomposable_by_probes(m, catalog, same_dimvec) -> bool:
+    if m.total > 1:
+        if any(has_simple_summand_at(m, v) for v in m.pres.quiver.vertices):
+            return False
+        for u in catalog:
+            if u.total < m.total and all(a <= b for a, b in zip(u.dims, m.dims)):
+                if has_summand(m, u):
+                    return False
+    for u in same_dimvec:
+        if has_summand(m, u):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # unpruned closure oracle
 
 def extension_candidates(pres, field, base, v, budget):
@@ -388,24 +408,29 @@ def extension_candidates(pres, field, base, v, budget):
     return out
 
 
+def unpruned_candidates(pres, field, catalog, total, budget):
+    """Every nonzero extension class, by each simple, of each direct sum
+    of ``catalog`` classes with total dimension ``total - 1``."""
+    entries = [(k, u.total) for k, u in enumerate(catalog)]
+    for picks in _weighted_multisets(entries, total - 1):
+        base = catalog[picks[0]]
+        for k in picks[1:]:
+            base = direct_sum(base, catalog[k])
+        for v in pres.quiver.vertices:
+            yield from extension_candidates(pres, field, base, v, budget)
+
+
 def closure_catalog(pres, field, max_total, budget):
     """Catalog and candidates examined, testing every extension class."""
-    q = pres.quiver
-    catalog = [simple_representation(pres, field, v) for v in q.vertices]
+    catalog = [simple_representation(pres, field, v) for v in pres.quiver.vertices]
     examined = len(catalog)
     for total in range(2, max_total + 1):
         found = []
-        entries = [(k, u.total) for k, u in enumerate(catalog)]
-        for picks in _weighted_multisets(entries, total - 1):
-            base = catalog[picks[0]]
-            for k in picks[1:]:
-                base = direct_sum(base, catalog[k])
-            for v in q.vertices:
-                for m in extension_candidates(pres, field, base, v, budget):
-                    examined += 1
-                    same = [u for u in found if u.dims == m.dims]
-                    if _is_new_indecomposable(m, catalog, same):
-                        found.append(m)
+        for m in unpruned_candidates(pres, field, catalog, total, budget):
+            examined += 1
+            same = [u for u in found if u.dims == m.dims]
+            if is_new_indecomposable_by_probes(m, catalog, same):
+                found.append(m)
         catalog.extend(found)
     return catalog, examined
 
@@ -442,7 +467,7 @@ def scan_catalog(pres, field, max_total, budget):
                 m = Representation(pres, field, dims, mats)
                 if not check_relations(m)[0]:
                     continue
-                if _is_new_indecomposable(m, catalog, found_here):
+                if is_new_indecomposable_by_probes(m, catalog, found_here):
                     found_here.append(m)
             catalog.extend(found_here)
     return catalog, examined
