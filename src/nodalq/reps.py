@@ -10,7 +10,13 @@ On top of the basics (hom spaces, direct sums, summand splitting) the
 module carries the three change-of-vertex operators used to move
 representations along gluings and blow-ups, a Krull-Schmidt
 decomposition against a catalog of indecomposables, and two exhaustive
-enumeration strategies for such catalogs over a finite field:
+enumeration strategies for such catalogs over a finite field.
+
+``decompose`` reads the multiplicity of each catalog class u off the
+rank of the composition pairing Hom(m, u) x Hom(u, m) -> End(u)/rad,
+where End(u) is certified local with residue field GF(p), and splits
+off copies one at a time only for the other classes.  The enumerators
+are:
 
 * ``scan`` meets every matrix tuple per dimension vector up to base
   change, with one arrow in normal form and each relation checked as
@@ -25,19 +31,23 @@ enumeration strategies for such catalogs over a finite field:
   visibly split are pruned before any Hom space is solved.
 
 Both enumerators decide a candidate by Fitting's lemma on its
-endomorphism ring (``_end_ring_local``): one End solve either splits it
-or certifies End local with residue field GF(p), and then only classes
-of its own dimension vector can be isomorphic to it.  A larger residue
-field GF(p^d) leaves the certificate undecided, and such a candidate is
-probed against every smaller class instead.  Summand and isomorphism
-probes go through the basis-pair test of ``has_summand``, which is
-exact for indecomposable probes and never samples.
+endomorphism ring (``_end_ring``): one End solve either splits it or
+certifies End local with residue field GF(p), and then only classes of
+its own dimension vector and End dimension can be isomorphic to it.  A
+larger residue field GF(p^d) leaves the certificate undecided, and such
+a candidate is probed against every smaller class instead.  Summand and
+isomorphism probes go through the basis-pair test of ``has_summand``,
+which is exact for indecomposable probes and never samples.  The End
+solve and the residue map are kept on the representation object, so a
+catalog class pays for them once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .construct import blow_presentation, glue_presentation
 from .linalg import Matrix, all_matrices, block_diag, rank_forms, similarity_forms
@@ -99,6 +109,17 @@ class Representation:
     @property
     def total(self) -> int:
         return sum(self.dims)
+
+    @cached_property
+    def _end(self) -> "_EndRing":
+        """``_end_ring(self)``, solved once per object."""
+        return _end_ring(self)
+
+    @cached_property
+    def _residue(self):
+        """``_residue_map(self)`` where End is certified local, else None;
+        apart from ``_end`` because enumeration candidates never need it."""
+        return _residue_map(self) if self._end.local else None
 
 
 def make_representation(pres: Presentation, field, dims, mats) -> Representation:
@@ -382,43 +403,82 @@ def strip_simple_summands(m: Representation, vertices):
     vertices; returns the stripped representation and per-vertex counts."""
     counts = {v: 0 for v in vertices}
     cur = m
-    changed = True
-    while changed:
-        changed = False
-        for v in vertices:
-            if cur.dim(v) == 0:
-                continue
-            c = split_summand(cur, simple_representation(m.pres, m.field, v))
-            if c is not None:
-                counts[v] += 1
-                cur = c
-                changed = True
+    for v in vertices:
+        # splitting a summand off creates no new simple summand
+        # (Krull-Schmidt), so the multiplicity counts every split at v
+        simple = simple_representation(m.pres, m.field, v)
+        for _ in range(simple_summand_multiplicity(cur, v)):
+            cur = split_summand(cur, simple)
+            counts[v] += 1
     return cur, counts
+
+
+def _multiplicity(m: Representation, u: Representation, residue) -> int:
+    """Multiplicity of ``u`` in ``m``, given the residue map of a local
+    End(u) with residue field the ground field: the rank of the pairing
+    (g, f) -> residue(g.f) on Hom(m, u) x Hom(u, m)."""
+    into = hom_space(u, m)
+    if not into.basis:
+        return 0
+    back = hom_space(m, u)
+    if not back.basis:
+        return 0
+    field = m.field
+    width = sum(a * b for a, b in zip(m.dims, u.dims))
+    # residue(g.f) = sum over v of <g_v^T W_v, f_v>, entrywise
+    fs = Matrix(field, len(into.basis), width, tuple(
+        tuple(x for b in f.blocks for row in b.rows for x in row) for f in into.basis))
+    gs = Matrix(field, len(back.basis), width, tuple(
+        tuple(x for b, w in zip(g.blocks, residue) for row in (b.transpose() * w).rows
+              for x in row)
+        for g in back.basis))
+    return (gs * fs.transpose()).rank()
 
 
 def decompose(m: Representation, catalog) -> tuple[int, ...]:
     """Multiplicities of the catalog classes in ``m``.
 
     The catalog must list pairwise non-isomorphic indecomposables and
-    cover every summand of ``m``; a leftover nothing splits from is an
+    cover every summand of ``m``; a leftover no class accounts for is an
     error, never a silent drop.
+
+    The classes are visited once, largest total dimension first, each
+    only while its dimension vector fits into the part of ``m`` not yet
+    explained by the classes counted so far; the walk stops when nothing
+    is left.  Where ``_end_ring`` certifies End(u) local with residue
+    field GF(p), the multiplicity of u is the rank of the composition
+    pairing Hom(m, u) x Hom(u, m) -> End(u)/rad End(u) = GF(p)
+    (Auslander, Reiten and Smalo, Representation Theory of Artin
+    Algebras, ch. I), and no complement is built.  Any other class (a
+    larger residue field, or a field with no finite shift sweep such as
+    QQ) is split off the rest of ``m`` with ``split_summand`` until it
+    no longer splits.
     """
     counts = [0] * len(catalog)
-    cur = m
-    while cur.total > 0:
-        for k, u in enumerate(catalog):
-            if u.total > cur.total:
-                continue
-            nxt = split_summand(cur, u)
-            if nxt is not None:
+    left = list(m.dims)
+    cur = m  # m with the peeled copies split off
+
+    def fits(u):
+        return all(a <= b for a, b in zip(u.dims, left))
+
+    for k, u in sorted(enumerate(catalog), key=lambda ku: -ku[1].total):
+        if not any(left):
+            break
+        if not fits(u):
+            continue
+        residue = u._residue
+        if residue is not None:
+            counts[k] = _multiplicity(m, u, residue)
+        else:
+            while fits(u) and (nxt := split_summand(cur, u)) is not None:
                 counts[k] += 1
                 cur = nxt
-                break
-        else:
-            raise ValueError(
-                "catalog does not cover a summand of the representation"
-                f" (stuck at dimension vector {cur.dims})"
-            )
+        left = [a - counts[k] * b for a, b in zip(left, u.dims)]
+    if any(left):
+        raise ValueError(
+            "catalog does not cover a summand of the representation"
+            f" (stuck at dimension vector {tuple(left)})"
+        )
     return tuple(counts)
 
 
@@ -720,22 +780,36 @@ def _fitting_power(block: Matrix) -> Matrix:
     return block
 
 
-def _end_ring_local(m):
-    """Whether End(m) is local: True, False or None when undecided.
+class _EndRing(NamedTuple):
+    dim: int
+    local: bool | None  # True, False, or None when undecided
+    # when local, the nilpotent shifts of the End basis as per-vertex
+    # blocks; they span the radical
+    radical: list | None
+
+
+def _end_ring(m) -> _EndRing:
+    """One solve of End(m): its dimension, whether it is local, and a
+    spanning set of its radical when that is certified.
 
     By Fitting's lemma an endomorphism h splits m as ker h^N + im h^N,
     so a shift b - λ of an End basis element b that is neither nilpotent
-    nor invertible proves False.  If every b has a nilpotent shift, End
-    = k.1 + J with J the span of those shifts.  True needs J nilpotent,
-    seen as the chain m > Jm > J^2 m > ... reaching zero.  Then the
-    products of elements of J span a nilpotent ideal, which misses 1 and
-    so is J itself: J is the radical, End/J is the prime field, and m is
-    absolutely indecomposable.  A b with no nilpotent shift (a residue
-    field larger than GF(p)) or a chain that stalls leaves it open.
+    nor invertible proves End not local.  If every b has a nilpotent
+    shift, End = k.1 + J with J the span of those shifts.  Local needs J
+    nilpotent, seen as the chain m > Jm > J^2 m > ... reaching zero.
+    Then the products of elements of J span a nilpotent ideal, which
+    misses 1 and so is J itself: J is the radical, End/J is the prime
+    field, and m is absolutely indecomposable.  A b with no nilpotent
+    shift (a residue field larger than GF(p)), a chain that stalls, or a
+    field with no finite shift sweep (QQ) leaves it undecided.
     """
     end = hom_space(m, m)
+    if end.dim == 0:
+        return _EndRing(0, False, None)  # the zero module
     if end.dim == 1:
-        return True
+        return _EndRing(1, True, [])
+    if m.field.size is None:
+        return _EndRing(end.dim, None, None)
     ones = [Matrix.identity(m.field, d) for d in m.dims]
     radical = []
     for b in end.basis:
@@ -746,9 +820,9 @@ def _end_ring_local(m):
                 radical.append(h)
                 break
             if not all(x.is_invertible() for x in power):
-                return False
+                return _EndRing(end.dim, False, None)
     if len(radical) < end.dim:
-        return None
+        return _EndRing(end.dim, None, None)
     layer = ones  # per vertex, a column basis of J^k m
     while any(w.ncols for w in layer):
         below = []
@@ -758,9 +832,31 @@ def _end_ring_local(m):
                 span = span.hstack(h[v] * w)
             below.append(span.column_space_basis())
         if sum(w.ncols for w in below) == sum(w.ncols for w in layer):
-            return None
+            return _EndRing(end.dim, None, None)
         layer = below
-    return True
+    return _EndRing(end.dim, True, radical)
+
+
+def _residue_map(m) -> tuple[Matrix, ...]:
+    """The residue map End(m) -> End(m)/rad = GF(p) of a certified local
+    End(m), 1 on the identity and 0 on the radical, extended to all
+    per-vertex matrices: one matrix W_v per vertex, the map sending h to
+    the sum over v of the entrywise products of W_v and h_v."""
+    forms = [[Matrix.identity(m.field, d) for d in m.dims]] + m._end.radical
+    system = Matrix(m.field, len(forms), sum(d * d for d in m.dims), tuple(
+        tuple(x for block in h for row in block.rows for x in row) for h in forms))
+    rhs = Matrix.from_rows(m.field, [[1]] + [[0]] * (len(forms) - 1))
+    flat = iter([row[0] for row in system.solve(rhs).rows])
+    return tuple(
+        Matrix(m.field, d, d, tuple(tuple(itertools.islice(flat, d)) for _ in range(d)))
+        for d in m.dims
+    )
+
+
+def _end_ring_local(m):
+    """Whether End(m) is local: True, False or None when undecided; see
+    ``_end_ring``."""
+    return m._end.local
 
 
 def _is_new_indecomposable(m, catalog, same_dimvec) -> bool:
@@ -770,7 +866,9 @@ def _is_new_indecomposable(m, catalog, same_dimvec) -> bool:
     The End-ring certificate decides most candidates; where it cannot,
     every smaller class that fits is probed as a summand.  Both are
     exact, and so is the final isomorphism probe, since ``has_summand``
-    is exact for an indecomposable of the same dimension vector.
+    is exact for an indecomposable of the same dimension vector.  It
+    skips classes whose End dimension differs from m's: isomorphic
+    modules have equal End dimensions.
     """
     if m.total > 1:
         if any(has_simple_summand_at(m, v) for v in m.pres.quiver.vertices):
@@ -783,10 +881,9 @@ def _is_new_indecomposable(m, catalog, same_dimvec) -> bool:
             if u.total < m.total and all(a <= b for a, b in zip(u.dims, m.dims))
         ):
             return False
-    for u in same_dimvec:
-        if has_summand(m, u):
-            return False
-    return True
+    return not any(
+        has_summand(m, u) for u in same_dimvec if u._end.dim == m._end.dim
+    )
 
 
 def _word_product(mats, word):

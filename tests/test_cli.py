@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nodalq import (
     GF,
@@ -399,3 +401,55 @@ def test_console_script_entry(nodalq_on_path):
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout == "2\n"
+
+
+@st.composite
+def _datums(draw):
+    """Datum text over a few declared vertices: arrows running forward in
+    declaration order, so the base is acyclic, gluings and blow-ups on
+    distinct vertices, and at most one stray line (junk, or a directive
+    on any vertices) inserted anywhere."""
+    vs = draw(st.lists(st.sampled_from(["1", "2", "3", "4", "a", "(u)", "x_1"]),
+                       min_size=1, max_size=5, unique=True))
+    pair = st.tuples(st.sampled_from(vs), st.sampled_from(vs))
+    lines = ["vertices " + " ".join(vs)]
+    for k, ends in enumerate(draw(st.lists(pair, max_size=6))):
+        s, t = sorted(ends, key=vs.index)
+        if s != t:
+            lines.append(f"arrow a{k} : {s} -> {t}")
+    order = draw(st.permutations(vs))
+    glued = draw(st.integers(0, len(vs) // 2))
+    lines += [f"glue {order[2 * k]} {order[2 * k + 1]}" for k in range(glued)]
+    blown = draw(st.integers(0, len(vs) - 2 * glued))
+    lines += [f"blow {b}" for b in order[2 * glued:2 * glued + blown]]
+    stray = st.one_of(
+        st.text(alphabet="vertices arowglub:->#()12_\t'é", max_size=24),
+        pair.map(lambda e: f"arrow z : {e[0]} -> {e[1]}"),
+        pair.map(lambda e: f"glue {e[0]} {e[1]}"),
+        st.sampled_from(vs).map(lambda b: f"blow {b}"),
+    )
+    for pos, text in draw(st.lists(st.tuples(st.integers(0, len(lines)), stray),
+                                   max_size=1)):
+        lines.insert(pos, text)
+    return "\n".join(lines) + "\n"
+
+
+_COMMANDS = st.sampled_from([
+    ["check"], ["present"], ["present", "--format", "json"],
+    ["present", "--format", "dot"], ["classify"], ["dimension"],
+    ["dimension", "--max-path-length", "3"],
+    ["enumerate", "--field", "2", "--max-dim", "2"],
+    ["enumerate", "--field", "3", "--max-dim", "3", "--method", "closure"],
+])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=5000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_datums(), command=_COMMANDS)
+def test_generated_data_keep_the_exit_code_contract(tmp_path, capsys, text, command):
+    datum = tmp_path / "fuzz.datum"
+    datum.write_text(text, encoding="utf-8")
+    code = run_cli([command[0], str(datum), *command[1:]])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in captured.out + captured.err

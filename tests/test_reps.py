@@ -15,6 +15,7 @@ from nodalq import (
     Morphism,
     NodalDatum,
     Quiver,
+    Representation,
     SearchSpaceTooLarge,
     ShapeMismatch,
     build_presentation,
@@ -46,6 +47,7 @@ from nodalq.linalg import all_matrices, rank_forms, similarity_forms
 from nodalq.reps import _compositions, _end_ring_local, _weighted_multisets
 from util import (
     closure_catalog,
+    decompose_by_peeling,
     is_new_indecomposable_by_probes,
     line_quiver,
     random_blow_datum,
@@ -143,6 +145,20 @@ def test_simple_summand_detection():
     assert is_isomorphic(stripped, free)
 
 
+def test_strip_simple_summands_at_several_vertices():
+    simple = {v: simple_representation(A3, F3, v) for v in A3.quiver.vertices}
+    interval = make_representation(A3, F3, {"v0": 1, "v1": 1}, {"va0": [[1]]})
+    m = interval
+    for v in ("v0", "v2", "v0", "v1"):
+        m = direct_sum(m, simple[v])
+    m = _base_changed(m, seeded(3))
+    stripped, counts = strip_simple_summands(m, ("v0", "v1", "v2"))
+    assert counts == {"v0": 2, "v1": 1, "v2": 1}
+    assert is_isomorphic(stripped, interval)
+    stripped, counts = strip_simple_summands(m, ("v2",))
+    assert counts == {"v2": 1} and stripped.dims == (3, 2, 0)
+
+
 def test_summand_split_and_decompose():
     s0 = simple_representation(A3, F2, "v0")
     s2 = simple_representation(A3, F2, "v2")
@@ -158,6 +174,82 @@ def test_summand_split_and_decompose():
     assert decompose(m, catalog) == (1, 0, 1, 1)
     with pytest.raises(ValueError):
         decompose(m, [s0])  # catalog cannot cover the interval
+
+
+def _random_invertible(field, n, rng):
+    while True:
+        if field.size is None:
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        else:
+            rows = [[rng.randrange(field.size) for _ in range(n)] for _ in range(n)]
+        g = Matrix.from_rows(field, rows)
+        if g.is_invertible():
+            return g
+
+
+def _base_changed(m, rng):
+    """An isomorphic copy of ``m``: a random base change at every vertex."""
+    q = m.pres.quiver
+    g = [_random_invertible(m.field, d, rng) for d in m.dims]
+    mats = tuple(
+        g[q.vertices.index(a.target)] * x * g[q.vertices.index(a.source)].inverse()
+        for a, x in zip(q.arrows, m.mats)
+    )
+    return Representation(m.pres, m.field, m.dims, mats)
+
+
+def _decomposition_cases():
+    """(catalog, picked class indices) pairs: closure catalogs of the
+    functor fixtures (base and target) and of super_00 over GF(2) and
+    GF(3), with 1-4 random picks each; the GF(4)- and GF(9)-residue
+    Kronecker classes twice; and one catalog over QQ."""
+    shapes = [(_corpus_presentation("super_00"), 4)]
+    for name, bound in (("glued_a2", 2), ("kronecker_glue", 4), ("blown_chain", 4)):
+        base = parse_datum((Path(__file__).resolve().parent.parent / "data"
+                            / f"{name}.datum").read_text()).base
+        shapes += [(_corpus_presentation(name), bound),
+                   (hereditary(base), len(base.vertices))]
+    rng = seeded(7)
+    cases = []
+    for pres, bound in shapes:
+        for field in (F2, F3):
+            catalog = enumerate_indecomposables(
+                pres, field, bound, budget=64, method="closure").classes
+            for _ in range(10):
+                picks = rng.randint(1, 4)
+                cases.append((catalog, [rng.randrange(len(catalog)) for _ in range(picks)]))
+            undecided = [k for k, u in enumerate(catalog) if _end_ring_local(u) is None]
+            if undecided:
+                cases.append((catalog, [undecided[0]] * 2 + [rng.randrange(len(catalog))]))
+    # over QQ the free module of the dual numbers has End dimension 2 and
+    # no finite shift sweep, so it is peeled
+    dual = _dual_numbers()
+    v = "(v0 v1)"
+    rational = (simple_representation(dual, QQ, v),
+                make_representation(dual, QQ, {v: 2}, {"va0": [[0, 0], [1, 0]]}))
+    cases.append((rational, [1, 0, 1]))
+    return cases, rng
+
+
+def test_decompose_matches_peeling_oracle():
+    cases, rng = _decomposition_cases()
+    assert any(u.field == F2 and u.dims == (2, 2) and _end_ring_local(u) is None
+               and picks.count(k) == 2
+               for catalog, picks in cases for k, u in enumerate(catalog))
+    for catalog, picks in cases:
+        m = catalog[picks[0]]
+        for k in picks[1:]:
+            m = direct_sum(m, catalog[k])
+        m = _base_changed(m, rng)
+        want = tuple(picks.count(k) for k in range(len(catalog)))
+        assert decompose(m, catalog) == decompose_by_peeling(m, catalog) == want
+        # without one picked class the catalog leaves a summand uncovered
+        short = [u for k, u in enumerate(catalog) if k != picks[-1]]
+        with pytest.raises(ValueError) as oracle:
+            decompose_by_peeling(m, short)
+        with pytest.raises(ValueError) as fast:
+            decompose(m, short)
+        assert str(fast.value) == str(oracle.value)
 
 
 def test_isomorphism_distinguishes_jordan_blocks():

@@ -3,6 +3,8 @@ oracles the fast paths are compared against.
 
 The path-counting oracle walks the quiver directly with a memoized DFS
 and never touches the construction code, so an agreement is meaningful.
+The decomposition oracle peels one summand at a time off what is left,
+restarting from the first catalog class after every split.
 The closure oracle is the unpruned extension enumerator: it builds every
 nonzero extension class of every direct sum of smaller classes.  The
 scan oracle builds every matrix tuple of every dimension vector.  Both
@@ -35,6 +37,7 @@ from nodalq.reps import (
     has_summand,
     path_matrix,
     simple_representation,
+    split_summand,
 )
 
 
@@ -275,6 +278,29 @@ def is_new_indecomposable_by_probes(m, catalog, same_dimvec) -> bool:
         if has_summand(m, u):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# decomposition by peeling, the reference for the multiplicity pairing
+
+def decompose_by_peeling(m, catalog) -> tuple[int, ...]:
+    counts = [0] * len(catalog)
+    cur = m
+    while cur.total > 0:
+        for k, u in enumerate(catalog):
+            if u.total > cur.total:
+                continue
+            nxt = split_summand(cur, u)
+            if nxt is not None:
+                counts[k] += 1
+                cur = nxt
+                break
+        else:
+            raise ValueError(
+                "catalog does not cover a summand of the representation"
+                f" (stuck at dimension vector {cur.dims})"
+            )
+    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------
