@@ -9,6 +9,7 @@ budget or cap would be exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -183,6 +184,8 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
+# parse_args keeps no state between calls, so one parser serves them all
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nodalq", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -202,7 +205,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dimension", help="dimension of the presented algebra")
     p.add_argument("file")
-    p.add_argument("--max-path-length", type=int, default=64)
+    p.add_argument("--max-path-length", type=int, default=64, metavar="N",
+                   help="refuse when a path containing no zero relation is"
+                        " longer than N (default 64)")
     p.set_defaults(func=_cmd_dimension)
 
     p = sub.add_parser(

@@ -13,6 +13,11 @@ every arrow ``b`` entering ``i``.
 The resulting presentation does not depend on the order of operations;
 internally gluings are applied first and blow-ups in sorted vertex
 order so that derived ids come out canonical.
+
+``dimension`` counts a basis of any presentation with zero and
+commutation relations: the normal words of the completed rewriting
+system (Farkas, Feustel and Green, "Synergy in the theories of Gröbner
+bases and path algebras", Canad. J. Math. 1993), without listing paths.
 """
 
 from __future__ import annotations
@@ -239,95 +244,161 @@ def build_presentation(d: NodalDatum):
 
 # ---------------------------------------------------------------------------
 # dimension of the presented algebra
+#
+# Words here are tuples of arrow indices (positions in ``quiver.arrows``)
+# in application order, the reverse of the written order.
 
-def _live_walks(pres: Presentation, cap: int):
-    """All paths carrying no zero subword, as (word, source, target) triples.
+def _avoiding(words):
+    """The step function of the automaton that reads paths avoiding ``words``.
 
-    Walks are grown in application order; the stored word is the written
-    (reversed) order.  Raises NonNilpotentCycle when a live path longer
-    than ``cap`` shows up.
+    A state is the longest suffix of the word read so far that is a
+    proper prefix of one of ``words``; ``()`` is the start state.  A step
+    returns None once the word read contains one of ``words``.
     """
-    q = pres.quiver
-    zero_apps = {tuple(reversed(w)) for w in pres.zero_words()}
-    out = {v: [a for a in q.arrows if a.source == v] for v in q.vertices}
-    walks = []  # application-order tuples of arrow names
-    stack = [((), v) for v in q.vertices]  # (walk, current endpoint)
-    while stack:
-        walk, end = stack.pop()
-        for a in out[end]:
-            nw = walk + (a.name,)
-            if len(nw) > cap:
+    words = set(words)
+    prefixes = {()} | {w[:k] for w in words for k in range(len(w))}
+
+    def step(s, a):
+        t = s + (a,)
+        if any(t[k:] in words for k in range(len(t))):
+            return None
+        while t not in prefixes:
+            t = t[1:]
+        return t
+
+    return step
+
+
+def _live_graph(out, head, step, cap: int):
+    """The (vertex, state) pairs that the paths read by ``step`` reach,
+    successors before predecessors, and each pair's successors.  Raises
+    NonNilpotentCycle if they form a cycle."""
+    succ = {}
+    order = []
+
+    def visit(node):
+        v, s = node
+        succ[node] = [(head[a], t) for a in out[v] if (t := step(s, a)) is not None]
+        return iter(succ[node])
+
+    for start in ((v, ()) for v in range(len(out))):
+        if start in succ:
+            continue
+        on_path = {start}
+        stack = [(start, visit(start))]
+        while stack:
+            node, it = stack[-1]
+            nxt = next(it, None)
+            if nxt is None:
+                stack.pop()
+                on_path.discard(node)
+                order.append(node)
+            elif nxt in on_path:
                 raise NonNilpotentCycle(
                     f"a relation-free path exceeded the length cap {cap}"
                 )
-            dead = False
-            for z in zero_apps:
-                if len(nw) >= len(z) and nw[-len(z):] == z:
-                    dead = True
-                    break
-            if not dead:
-                walks.append(nw)
-                stack.append((nw, a.target))
-    triples = [((), v, v) for v in q.vertices]
-    for w in walks:
-        src = q.arrow(w[0]).source
-        tgt = q.arrow(w[-1]).target
-        triples.append((tuple(reversed(w)), src, tgt))
-    return triples
+            elif nxt not in succ:
+                on_path.add(nxt)
+                stack.append((nxt, visit(nxt)))
+    return order, succ
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
+def _contains(w: tuple, u: tuple) -> bool:
+    n = len(u)
+    return any(w[i:i + n] == u for i in range(len(w) - n + 1))
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
 
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
+def _complete(zeros, commutations) -> dict:
+    """A complete rewriting system for the zero words and commutations.
+
+    Returns the rules as a map from left side to right side, None
+    standing for zero.  All zero rules go in first; each commutation is
+    oriented from its larger side to its smaller one by degree-lex order,
+    and Knuth–Bendix completion with interreduction resolves overlaps
+    and inclusions.  A left side is added only when irreducible, so it
+    contains no zero word, and the longest zero-free path bounds its
+    length: the completion terminates.
+    """
+    rules = dict.fromkeys(zeros)
+
+    def normal_form(w):
+        while w is not None:
+            hit = next(((i, j) for i in range(len(w)) for j in range(i + 1, len(w) + 1)
+                        if w[i:j] in rules), None)
+            if hit is None:
+                return w
+            i, j = hit
+            r = rules[w[i:j]]
+            w = None if r is None else w[:i] + r + w[j:]
+        return None
+
+    def overlaps(l1, r1, l2, r2):
+        # l1 = x.y and l2 = y.z with y, x and z nonempty: x.y.z rewrites
+        # to r1.z and to x.r2
+        for k in range(1, min(len(l1), len(l2))):
+            if l1[-k:] == l2[:k]:
+                yield (None if r1 is None else r1 + l2[k:],
+                       None if r2 is None else l1[:-k] + r2)
+
+    pending = list(commutations)
+    while pending:
+        u, v = map(normal_form, pending.pop())
+        if u == v:
+            continue
+        if u is None or (v is not None and (len(u), u) < (len(v), v)):
+            u, v = v, u
+        pending += [(lhs, rules.pop(lhs)) for lhs in list(rules) if _contains(lhs, u)]
+        rules[u] = v
+        for lhs, rhs in list(rules.items()):
+            if rhs is not None and _contains(rhs, u):
+                rules[lhs] = rhs = normal_form(rhs)
+            pending += overlaps(u, v, lhs, rhs)
+            if lhs != u:
+                pending += overlaps(lhs, rhs, u, v)
+    return rules
 
 
 def dimension(pres: Presentation, max_path_length: int = 64) -> int:
     """Dimension of the presented algebra over any coefficient field.
 
-    Counts paths with no zero subword, then quotients by all multiples
-    ``u.(lhs - rhs).w`` of the commutation relations.  Each such
-    multiple is a difference of two path basis vectors (or a single one,
-    when the other side dies on a zero subword), so the quotient rank is
-    computed exactly by unifying path classes.
+    The relations are monomials and binomials ``p = q``, so a complete
+    rewriting system for them (Knuth–Bendix completion under degree-lex
+    order) has only coefficients ±1, and the algebra has the paths that
+    contain no left side of a rule as a basis, trivial paths included.
+    They are counted by a dynamic program over (vertex, automaton state)
+    pairs, without listing any path.
+
+    Raises NonNilpotentCycle when some path containing no zero relation
+    is longer than ``max_path_length``, including when there are
+    infinitely many of them.
     """
     if max_path_length < 0:
         raise ValueError(f"max_path_length must be nonnegative, got {max_path_length}")
-    triples = _live_walks(pres, max_path_length)
-    index = {(w, s): k for k, (w, s, t) in enumerate(triples)}
-    n = len(triples)
-    uf = _UnionFind(n + 1)  # extra node for the zero class
-    zero_node = n
-    rank = 0
-    comms = pres.commutation_pairs()
-    if comms:
-        q = pres.quiver
-        ends = {}
-        for lhs, rhs in comms:
-            src = q.arrow(lhs[-1]).source
-            tgt = q.arrow(lhs[0]).target
-            ends[(lhs, rhs)] = (src, tgt)
-        for (lhs, rhs), (src, tgt) in ends.items():
-            lefts = [(w, s, t) for (w, s, t) in triples if s == tgt]
-            rights = [(w, s, t) for (w, s, t) in triples if t == src]
-            for uw, us, ut in lefts:
-                for ww, ws, wt in rights:
-                    a = index.get((uw + lhs + ww, ws), zero_node)
-                    b = index.get((uw + rhs + ww, ws), zero_node)
-                    if a == b:
-                        continue
-                    if uf.union(a, b):
-                        rank += 1
-    return n - rank
+    q = pres.quiver
+    vertex = {v: k for k, v in enumerate(q.vertices)}
+    arrow = {a.name: k for k, a in enumerate(q.arrows)}
+    head = [vertex[a.target] for a in q.arrows]
+    out = [[] for _ in q.vertices]
+    for k, a in enumerate(q.arrows):
+        out[vertex[a.source]].append(k)
+
+    def word(written):
+        return tuple(arrow[n] for n in reversed(written))
+
+    zeros = [word(w) for w in pres.zero_words()]
+    order, succ = _live_graph(out, head, _avoiding(zeros), max_path_length)
+    longest = {}
+    for node in order:
+        longest[node] = max((longest[m] + 1 for m in succ[node]), default=0)
+    if max(longest.values(), default=0) > max_path_length:
+        raise NonNilpotentCycle(
+            f"a relation-free path exceeded the length cap {max_path_length}"
+        )
+    commutations = [(word(l), word(r)) for l, r in pres.commutation_pairs()]
+    if commutations:
+        rules = _complete(zeros, commutations)
+        order, succ = _live_graph(out, head, _avoiding(rules), max_path_length)
+    count = {}
+    for node in order:
+        count[node] = 1 + sum(count[m] for m in succ[node])
+    return sum(count[(v, ())] for v in range(len(out)))

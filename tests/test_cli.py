@@ -17,7 +17,7 @@ from nodalq import (
     make_representation,
     simple_representation,
 )
-from nodalq.cli import _reflects, run_cli
+from nodalq.cli import _build_parser, _reflects, run_cli
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -306,6 +306,25 @@ def test_usage_and_io_errors(capsys):
     assert code == 1 and "usage error" in err
 
 
+def test_one_parser_serves_every_call(capsys):
+    # a refused cap must not stick to the next call's defaults
+    calls = [
+        ("dimension", "--max-path-length"),
+        ("dimension", path("worked_example.datum"), "--max-path-length", "1"),
+        ("dimension", path("worked_example.datum")),
+    ]
+    shared = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 3, 0]
+    assert "usage error" in shared[0][2]
+    assert "length cap 1" in shared[1][2]
+    assert shared[2][1] == "24\n"
+
+
 def test_syntax_error_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.datum"
     bad.write_text("vertices a\nglue a\n", encoding="utf-8")
@@ -387,6 +406,23 @@ def test_enumerate_closure_high_bound_within_a_small_recursion_limit(tmp_path, n
     assert "total: 1 classes" in proc.stdout
 
 
+def test_dimension_long_line_within_a_small_recursion_limit(tmp_path, nodalq_on_path):
+    # counting paths must not recurse once per arrow of a path
+    n = 300
+    lines = ["vertices " + " ".join(f"v{k}" for k in range(n))]
+    lines += [f"arrow a{k} : v{k} -> v{k + 1}" for k in range(n - 1)]
+    datum = tmp_path / "line.datum"
+    datum.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = (
+        "import sys; sys.setrecursionlimit(150)\n"
+        "from nodalq.cli import run_cli\n"
+        f"sys.exit(run_cli(['dimension', {str(datum)!r}, '--max-path-length', '400']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{n * (n + 1) // 2}\n"
+
+
 def test_console_script_entry(nodalq_on_path):
     proc = subprocess.run(
         [sys.executable, "-m", "nodalq", "classify", path("except_100.datum")],
@@ -437,6 +473,7 @@ def _datums(draw):
 _COMMANDS = st.sampled_from([
     ["check"], ["present"], ["present", "--format", "json"],
     ["present", "--format", "dot"], ["classify"], ["dimension"],
+    ["dimension", "--max-path-length", "0"], ["dimension", "--max-path-length", "1"],
     ["dimension", "--max-path-length", "3"],
     ["enumerate", "--field", "2", "--max-dim", "2"],
     ["enumerate", "--field", "3", "--max-dim", "3", "--method", "closure"],

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from nodalq import (
     Arrow,
+    Commutation,
     InvalidDatum,
+    MonomialZero,
     NodalDatum,
     NonNilpotentCycle,
+    Path,
+    Presentation,
     Quiver,
     blow_presentation,
     build_presentation,
@@ -23,9 +29,11 @@ from util import (
     count_paths,
     count_paths_from,
     count_paths_into,
+    dimension_by_paths,
     line_quiver,
     random_blow_datum,
     random_glue_datum,
+    random_presentation,
     seeded,
     worked_example_datum,
 )
@@ -145,6 +153,65 @@ def test_dimension_detects_free_cycles():
     pres, _ = build_presentation(worked_example_datum())
     with pytest.raises(NonNilpotentCycle):
         dimension(pres, max_path_length=1)
+
+
+def test_dimension_cap_bounds_only_zero_free_paths():
+    # b·a is the only path longer than 1, and it is zero
+    q = Quiver(("x", "y", "z"), (Arrow("a", "x", "y"), Arrow("b", "y", "z")))
+    pres = Presentation(q, frozenset({MonomialZero(Path(q, ("b", "a")))}))
+    assert dimension(pres, max_path_length=1) == 5
+    assert dimension_by_paths(pres, max_path_length=1) == 5
+    with pytest.raises(NonNilpotentCycle, match="length cap 0"):
+        dimension(pres, max_path_length=0)
+
+
+def _outcome(dim, pres, cap):
+    try:
+        return dim(pres, cap)
+    except NonNilpotentCycle as e:
+        return str(e)
+
+
+def test_dimension_matches_path_listing_oracle():
+    # values and refusals, on general presentations (loops, cycles,
+    # commutations of unequal lengths) and on built gluings and blow-ups
+    rng = seeded(20261018)
+    # two nilpotent loops whose commutations rewrite in a cycle when
+    # oriented by plain lex instead of degree-lex
+    q = Quiver(("x",), (Arrow("a", "x", "x"), Arrow("b", "x", "x")))
+    loops = {MonomialZero(Path(q, w)) for w in itertools.product("ab", repeat=4)}
+    loops |= {Commutation(Path(q, tuple(lw)), Path(q, tuple(rw)))
+              for lw, rw in (("ab", "bbb"), ("aba", "ba"), ("bb", "bab"))}
+    cases = [Presentation(q, frozenset(loops))]
+    cases += [random_presentation(rng) for _ in range(1000)]
+    cases += [build_presentation(random_glue_datum(rng))[0] for _ in range(150)]
+    cases += [build_presentation(random_blow_datum(rng))[0] for _ in range(150)]
+    for pres in cases:
+        for cap in (0, 1, 2, 3, 64):
+            want = _outcome(dimension_by_paths, pres, cap)
+            assert _outcome(dimension, pres, cap) == want, (cap, pres)
+
+
+def test_dimension_of_a_long_diamond_chain():
+    # 18,874,214 paths: listing them is out of reach, counting is not
+    k = 20
+    vs = ["v0"]
+    arrows = []
+    for t in range(k):
+        a, b, c, d = f"v{t}", f"b{t}", f"c{t}", f"v{t + 1}"
+        vs += [b, c, d]
+        arrows += [Arrow(f"p{t}", a, b), Arrow(f"q{t}", a, c),
+                   Arrow(f"r{t}", b, d), Arrow(f"s{t}", c, d)]
+    d = NodalDatum(Quiver(tuple(vs), tuple(arrows)), (), ("v1",))
+    pres, _ = build_presentation(d)
+    expected = (
+        count_paths(d.base)
+        + count_paths_into(d.base, "v1")
+        + count_paths_from(d.base, "v1")
+        + 1
+    )
+    assert expected == 18_874_214
+    assert dimension(pres) == expected
 
 
 def test_gluing_dimension_law_on_random_data():

@@ -3,6 +3,8 @@ oracles the fast paths are compared against.
 
 The path-counting oracle walks the quiver directly with a memoized DFS
 and never touches the construction code, so an agreement is meaningful.
+The dimension oracle lists every path with no zero subword and unifies
+the path classes that the commutation relations identify.
 The decomposition oracle peels one summand at a time off what is left,
 restarting from the first catalog class after every split.
 The closure oracle is the unpruned extension enumerator: it builds every
@@ -20,8 +22,13 @@ import random
 from nodalq import (
     Arrow,
     BudgetExceeded,
+    Commutation,
     Matrix,
+    MonomialZero,
     NodalDatum,
+    NonNilpotentCycle,
+    Path,
+    Presentation,
     Quiver,
     Representation,
     SearchSpaceTooLarge,
@@ -174,6 +181,103 @@ def count_paths_into(q, v):
 
 
 # ---------------------------------------------------------------------------
+# dimension by listing paths, the reference for normal-word counting
+
+def _live_walks(pres, cap):
+    """All paths carrying no zero subword, as (word, source, target) triples.
+
+    Walks are grown in application order; the stored word is the written
+    (reversed) order.  Raises NonNilpotentCycle when a live path longer
+    than ``cap`` shows up.
+    """
+    q = pres.quiver
+    zero_apps = {tuple(reversed(w)) for w in pres.zero_words()}
+    out = {v: [a for a in q.arrows if a.source == v] for v in q.vertices}
+    walks = []  # application-order tuples of arrow names
+    stack = [((), v) for v in q.vertices]  # (walk, current endpoint)
+    while stack:
+        walk, end = stack.pop()
+        for a in out[end]:
+            nw = walk + (a.name,)
+            dead = False
+            for z in zero_apps:
+                if len(nw) >= len(z) and nw[-len(z):] == z:
+                    dead = True
+                    break
+            if dead:
+                continue
+            if len(nw) > cap:
+                raise NonNilpotentCycle(
+                    f"a relation-free path exceeded the length cap {cap}"
+                )
+            walks.append(nw)
+            stack.append((nw, a.target))
+    triples = [((), v, v) for v in q.vertices]
+    for w in walks:
+        src = q.arrow(w[0]).source
+        tgt = q.arrow(w[-1]).target
+        triples.append((tuple(reversed(w)), src, tgt))
+    return triples
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[rx] = ry
+        return True
+
+
+def dimension_by_paths(pres, max_path_length=64):
+    """The algebra dimension by listing paths.
+
+    Counts paths with no zero subword, then quotients by all multiples
+    ``u.(lhs - rhs).w`` of the commutation relations.  Each such
+    multiple is a difference of two path basis vectors (or a single one,
+    when the other side dies on a zero subword), so the quotient rank is
+    computed exactly by unifying path classes.
+    """
+    if max_path_length < 0:
+        raise ValueError(f"max_path_length must be nonnegative, got {max_path_length}")
+    triples = _live_walks(pres, max_path_length)
+    index = {(w, s): k for k, (w, s, t) in enumerate(triples)}
+    n = len(triples)
+    uf = _UnionFind(n + 1)  # extra node for the zero class
+    zero_node = n
+    rank = 0
+    comms = pres.commutation_pairs()
+    if comms:
+        q = pres.quiver
+        ends = {}
+        for lhs, rhs in comms:
+            src = q.arrow(lhs[-1]).source
+            tgt = q.arrow(lhs[0]).target
+            ends[(lhs, rhs)] = (src, tgt)
+        for (lhs, rhs), (src, tgt) in ends.items():
+            lefts = [(w, s, t) for (w, s, t) in triples if s == tgt]
+            rights = [(w, s, t) for (w, s, t) in triples if t == src]
+            for uw, us, ut in lefts:
+                for ww, ws, wt in rights:
+                    a = index.get((uw + lhs + ww, ws), zero_node)
+                    b = index.get((uw + rhs + ww, ws), zero_node)
+                    if a == b:
+                        continue
+                    if uf.union(a, b):
+                        rank += 1
+    return n - rank
+
+
+# ---------------------------------------------------------------------------
 # randomized data for the dimension laws and the recognizer suites
 
 def random_dag(rng, max_vertices=8, density=0.35, prefix="n"):
@@ -257,6 +361,45 @@ def random_degree_violation_datum(rng):
     other = c2[rng.randint(1, n - 1)]
     q = Quiver(tuple(c1 + c2), tuple(arrows))
     return NodalDatum(q, ((sink, other),), ())
+
+
+def _paths_of_length(q, v, n):
+    """Written words of every path of length n starting at v, with their targets."""
+    out = [((), v)]
+    for _ in range(n):
+        out = [((a.name,) + w, a.target) for w, end in out for a in q.arrows
+               if a.source == end]
+    return out
+
+
+def random_presentation(rng):
+    """A presentation on 1-4 vertices and 1-5 arrows, loops and oriented
+    cycles allowed, with up to four zero words of length 2-4 and up to
+    three commutations between parallel paths of lengths 2-4 each.  Half
+    of them also kill every path of one length from 3 to 5, which makes
+    an algebra with loops finite dimensional more often."""
+    vs = tuple(f"x{k}" for k in range(rng.randint(1, 4)))
+    q = Quiver(vs, tuple(Arrow(f"a{k}", rng.choice(vs), rng.choice(vs))
+                         for k in range(rng.randint(1, 5))))
+    rels = set()
+    for _ in range(rng.randint(0, 4)):
+        walks = _paths_of_length(q, rng.choice(vs), rng.randint(2, 4))
+        if walks:
+            rels.add(MonomialZero(Path(q, rng.choice(walks)[0])))
+    if rng.random() < 0.5:
+        n = rng.randint(3, 5)
+        walks = [w for v in vs for w, _ in _paths_of_length(q, v, n)]
+        if len(walks) <= 64:
+            rels.update(MonomialZero(Path(q, w)) for w in walks)
+    for _ in range(rng.randint(0, 3)):
+        v = rng.choice(vs)
+        left = _paths_of_length(q, v, rng.randint(2, 4))
+        right = _paths_of_length(q, v, rng.randint(2, 4))
+        pairs = [(lw, rw) for lw, lt in left for rw, rt in right if lt == rt and lw != rw]
+        if pairs:
+            lw, rw = rng.choice(pairs)
+            rels.add(Commutation(Path(q, lw), Path(q, rw)))
+    return Presentation(q, frozenset(rels))
 
 
 def seeded(seed):
