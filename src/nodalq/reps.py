@@ -12,11 +12,14 @@ representations along gluings and blow-ups, a Krull-Schmidt
 decomposition against a catalog of indecomposables, and two exhaustive
 enumeration strategies for such catalogs over a finite field.
 
-``decompose`` reads the multiplicity of each catalog class u off the
-rank of the composition pairing Hom(m, u) x Hom(u, m) -> End(u)/rad,
-where End(u) is certified local with residue field GF(p), and splits
-off copies one at a time only for the other classes.  The enumerators
-are:
+Isomorphism, indecomposability and multiplicities are all read off the
+top E(m) = End(m)/rad End(m), with the radical computed exactly.  Write
+m = U_1^a_1 + ... + U_r^a_r with pairwise non-isomorphic indecomposables
+U_i, and d_i for the dimension of the division ring E(U_i).  Then E(m)
+is the product of the matrix rings M_a_i(E(U_i)), of dimension sum
+a_i^2 d_i, and Hom(m, n) modulo its radical has dimension sum a_i b_i
+d_i (Auslander, Reiten and Smalo, Representation Theory of Artin
+Algebras, ch. I).  The enumerators are:
 
 * ``scan`` meets every matrix tuple per dimension vector up to base
   change, with one arrow in normal form and each relation checked as
@@ -30,15 +33,12 @@ are:
   basis per (class, vertex) is computed once, and extension classes that
   visibly split are pruned before any Hom space is solved.
 
-Both enumerators decide a candidate by Fitting's lemma on its
-endomorphism ring (``_end_ring``): one End solve either splits it or
-certifies End local with residue field GF(p), and then only classes of
-its own dimension vector and End dimension can be isomorphic to it.  A
-larger residue field GF(p^d) leaves the certificate undecided, and such
-a candidate is probed against every smaller class instead.  Summand and
-isomorphism probes go through the basis-pair test of ``has_summand``,
-which is exact for indecomposable probes and never samples.  The End
-solve and the residue map are kept on the representation object, so a
+Both enumerators decide a candidate by ``_is_local``, whose Fitting
+certificates settle nearly every candidate from End alone, and then only
+classes of its own dimension vector and End dimension can be isomorphic
+to it; those probes go through the basis-pair test of ``has_summand``,
+which is exact for indecomposable probes and never samples.  End, its
+top and the local verdict are kept on the representation object, so a
 catalog class pays for them once.
 """
 
@@ -111,15 +111,19 @@ class Representation:
         return sum(self.dims)
 
     @cached_property
-    def _end(self) -> "_EndRing":
-        """``_end_ring(self)``, solved once per object."""
-        return _end_ring(self)
+    def _end(self) -> "HomSpace":
+        """``hom_space(self, self)``, solved once per object."""
+        return hom_space(self, self)
 
     @cached_property
-    def _residue(self):
-        """``_residue_map(self)`` where End is certified local, else None;
-        apart from ``_end`` because enumeration candidates never need it."""
-        return _residue_map(self) if self._end.local else None
+    def _top(self) -> "_Top":
+        """``_top_of(self)``, which the local test of a candidate rarely needs."""
+        return _top_of(self)
+
+    @cached_property
+    def _local(self):
+        """``_is_local(self)``, decided once per object."""
+        return _is_local(self)
 
 
 def make_representation(pres: Presentation, field, dims, mats) -> Representation:
@@ -413,26 +417,190 @@ def strip_simple_summands(m: Representation, vertices):
     return cur, counts
 
 
-def _multiplicity(m: Representation, u: Representation, residue) -> int:
-    """Multiplicity of ``u`` in ``m``, given the residue map of a local
-    End(u) with residue field the ground field: the rank of the pairing
-    (g, f) -> residue(g.f) on Hom(m, u) x Hom(u, m)."""
-    into = hom_space(u, m)
+# ---------------------------------------------------------------------------
+# endomorphism rings and their tops: isomorphism, indecomposability and
+# multiplicities
+
+def _int_product(a, b, modulus):
+    """Product of two square matrices given as integer row lists."""
+    return [[sum(x * y for x, y in zip(row, col)) % modulus for col in zip(*b)] for row in a]
+
+
+def _radical(m) -> tuple[tuple, ...]:
+    """Coordinates on the basis of ``m._end`` that span rad End(m).
+
+    Over QQ the radical is the kernel of the trace form (a, b) -> Tr(ab)
+    (Dickson).  Over GF(p) that kernel I_0 only starts the descent of
+    Rónyai (J. Symbolic Comput. 9, 1990) and Cohen, Ivanyos and Wales
+    (JPAA 117-118, 1997): I_i keeps the a in I_(i-1) with g_i(ab) = 0
+    for every End basis element b, where g_i(x) = (Tr(x~^(p^i)) mod
+    p^(i+1)) / p^i for the lift x~ of x with entries in [0, p).  g_i is
+    linear on the ideal I_(i-1), and I_i is the radical from the first
+    level i with p^(i+1) above the total dimension on.
+    """
+    field, p = m.field, m.field.size
+    basis = [[b.rows for b in f.blocks] for f in m._end.basis]
+    flat = [[x for block in f for row in block for x in row] for f in basis]
+    turned = [[x for block in f for col in zip(*block) for x in col] for f in basis]
+    # Tr(ab) is the sum over v, j, k of a_v[j][k] b_v[k][j]
+    coords = Matrix.from_rows(field, [
+        [sum(x * y for x, y in zip(a, b)) for b in turned] for a in flat]).nullspace()
+    level = 1
+    while coords and p is not None and p ** level <= m.total:
+        ideal = [[[[sum(c * f[v][i][j] for c, f in zip(y, basis)) % p for j in range(d)]
+                   for i in range(d)] for v, d in enumerate(m.dims)] for y in coords]
+        values = []
+        for f in basis:
+            row = []
+            for a in ideal:
+                trace = 0
+                for av, fv in zip(a, f):
+                    power = _int_product(av, fv, p)
+                    for _ in range(level):  # raise to the p-th power level times
+                        base = power
+                        for _ in range(p - 1):
+                            power = _int_product(power, base, p ** (level + 1))
+                    trace += sum(power[i][i] for i in range(len(power)))
+                row.append(trace % p ** (level + 1) // p ** level)
+            values.append(row)
+        kernel = Matrix.from_rows(field, values).nullspace()
+        coords = tuple(tuple(sum(z * y[t] for z, y in zip(k, coords)) % p
+                             for t in range(len(basis))) for k in kernel)
+        level += 1
+    return coords
+
+
+class _Top(NamedTuple):
+    """The residue map End(m) -> E(m) = End(m)/rad End(m), onto ``dim``
+    coordinates: coordinate k of the residue of an endomorphism h is the
+    sum of h_v[i][j] * w[k] over the pairs ((v, i, j), w) of ``entries``
+    and ``weights``."""
+
+    dim: int
+    entries: tuple[tuple[int, int, int], ...]
+    weights: tuple[tuple, ...]
+
+
+def _top_of(m) -> _Top:
+    """The residue map of End(m), for any basis of ``m._end``: the End
+    coordinates of h are its entries at the pivot positions of the
+    flattened basis times the inverse of the basis restricted to them,
+    and the functionals vanishing on the radical take them onto E(m)."""
+    field, n = m.field, m._end.dim
+    positions = [(v, i, j) for v, d in enumerate(m.dims) for i in range(d) for j in range(d)]
+    flat = Matrix(field, n, len(positions), tuple(
+        tuple(x for b in f.blocks for row in b.rows for x in row) for f in m._end.basis))
+    pivots = flat.rref()[1]
+    square = Matrix(field, n, n, tuple(tuple(row[c] for c in pivots) for row in flat.rows))
+    rad = _radical(m)
+    quotient = Matrix(field, len(rad), n, rad).nullspace()
+    weights = square.inverse() * _columns_matrix(field, n, quotient)
+    return _Top(len(quotient), tuple(positions[c] for c in pivots), weights.rows)
+
+
+def _residue(m, g, f) -> list:
+    """Coordinates in E(m) of the residue of g.f, from the per-vertex
+    blocks of two morphisms composing to an endomorphism of m; only the
+    weighted entries of g.f are formed."""
+    top = m._top
+    coerce = m.field.coerce
+    out = [0] * top.dim
+    for (v, i, j), w in zip(top.entries, top.weights):
+        left, right = g[v].rows[i], f[v].rows
+        x = coerce(sum(a * right[k][j] for k, a in enumerate(left)))
+        if x:
+            out = [o + x * y for o, y in zip(out, w)]
+    return [coerce(o) for o in out]
+
+
+def _top_rank(m: Representation, n: Representation) -> int:
+    """dim Hom(m, n)/rad(m, n): f is radical exactly when every g.f with
+    g in Hom(n, m) is radical in End(m), so this is the rank of
+    f -> (residue of g.f)_g over bases of Hom(m, n) and Hom(n, m)."""
+    into = hom_space(m, n)
     if not into.basis:
         return 0
-    back = hom_space(m, u)
-    if not back.basis:
-        return 0
+    back = hom_space(n, m)
+    return Matrix.from_rows(m.field, [
+        [x for g in back.basis for x in _residue(m, g.blocks, f.blocks)] for f in into.basis
+    ]).rank()
+
+
+def _fitting_power(block: Matrix) -> Matrix:
+    """``block`` raised to a power at least its size, by squaring: its
+    kernel and image have stopped changing there."""
+    size = 1
+    while size < block.nrows:
+        block = block * block
+        size *= 2
+    return block
+
+
+def _is_local(m):
+    """Whether End(m) is local, that is m indecomposable: True, False, or
+    None over QQ where the top has dimension above one.
+
+    Over GF(p) two cheap certificates come first.  By Fitting's lemma an
+    endomorphism h splits m as ker h^N + im h^N, so a shift b - λ of an
+    End basis element b that is neither nilpotent nor invertible proves
+    End not local.  If every b has a nilpotent shift, End = k.1 + J with
+    J the span of those shifts.  Local needs J nilpotent, seen as the
+    chain m > Jm > J^2 m > ... reaching zero.  Then the products of
+    elements of J span a nilpotent ideal, which misses 1 and so is J
+    itself: J is the radical, End/J is the prime field, and m is
+    absolutely indecomposable.
+
+    A b with no nilpotent shift (a residue field larger than GF(p)), a
+    chain that stalls, or the field QQ leaves it to the top, a product
+    of matrix rings over division rings, which is local exactly when it
+    is a division ring.  Over GF(p) that means a field: the top is
+    commutative, and x -> x^p - x, which fixes one copy of GF(p) in each
+    field factor of a commutative top, has a one-dimensional kernel.
+    """
+    end = m._end
+    if end.dim <= 1:
+        return end.dim == 1  # the zero module has End 0
     field = m.field
-    width = sum(a * b for a, b in zip(m.dims, u.dims))
-    # residue(g.f) = sum over v of <g_v^T W_v, f_v>, entrywise
-    fs = Matrix(field, len(into.basis), width, tuple(
-        tuple(x for b in f.blocks for row in b.rows for x in row) for f in into.basis))
-    gs = Matrix(field, len(back.basis), width, tuple(
-        tuple(x for b, w in zip(g.blocks, residue) for row in (b.transpose() * w).rows
-              for x in row)
-        for g in back.basis))
-    return (gs * fs.transpose()).rank()
+    if field.size is None:
+        return True if m._top.dim == 1 else None
+    ones = [Matrix.identity(field, d) for d in m.dims]
+    nilpotent = []
+    for b in end.basis:
+        for lam in field.elements():
+            h = [x - one.scale(lam) for x, one in zip(b.blocks, ones)]
+            power = [_fitting_power(x) for x in h]
+            if all(x.is_zero() for x in power):
+                nilpotent.append(h)
+                break
+            if not all(x.is_invertible() for x in power):
+                return False
+    if len(nilpotent) == end.dim:
+        layer = ones  # per vertex, a column basis of J^k m
+        while any(w.ncols for w in layer):
+            below = []
+            for v, w in enumerate(layer):
+                span = Matrix.zeros(field, m.dims[v], 0)
+                for h in nilpotent:
+                    span = span.hstack(h[v] * w)
+                below.append(span.column_space_basis())
+            if sum(w.ncols for w in below) == sum(w.ncols for w in layer):
+                break
+            layer = below
+        else:
+            return True
+    # the residues of the End basis span the top
+    basis = [b.blocks for b in end.basis]
+    if any(_residue(m, a, b) != _residue(m, b, a)
+           for a, b in itertools.combinations(basis, 2)):
+        return False
+    frobenius = []
+    for b in basis:
+        power = b
+        for _ in range(field.size - 2):
+            power = [x * y for x, y in zip(power, b)]
+        frobenius.append([field.sub(x, y)
+                          for x, y in zip(_residue(m, power, b), _residue(m, ones, b))])
+    return Matrix.from_rows(field, frobenius).rank() == m._top.dim - 1
 
 
 def decompose(m: Representation, catalog) -> tuple[int, ...]:
@@ -445,34 +613,19 @@ def decompose(m: Representation, catalog) -> tuple[int, ...]:
     The classes are visited once, largest total dimension first, each
     only while its dimension vector fits into the part of ``m`` not yet
     explained by the classes counted so far; the walk stops when nothing
-    is left.  Where ``_end_ring`` certifies End(u) local with residue
-    field GF(p), the multiplicity of u is the rank of the composition
-    pairing Hom(m, u) x Hom(u, m) -> End(u)/rad End(u) = GF(p)
-    (Auslander, Reiten and Smalo, Representation Theory of Artin
-    Algebras, ch. I), and no complement is built.  Any other class (a
-    larger residue field, or a field with no finite shift sweep such as
-    QQ) is split off the rest of ``m`` with ``split_summand`` until it
-    no longer splits.
+    is left.  The multiplicity of u is ``_top_rank(u, m)`` / dim E(u):
+    Hom(u, m) modulo its radical is a vector space of that dimension over
+    the division ring E(u), whatever the field and residue degree.
     """
     counts = [0] * len(catalog)
     left = list(m.dims)
-    cur = m  # m with the peeled copies split off
-
-    def fits(u):
-        return all(a <= b for a, b in zip(u.dims, left))
-
     for k, u in sorted(enumerate(catalog), key=lambda ku: -ku[1].total):
         if not any(left):
             break
-        if not fits(u):
+        # a zero class has a zero top and counts nothing
+        if u.total == 0 or any(a > b for a, b in zip(u.dims, left)):
             continue
-        residue = u._residue
-        if residue is not None:
-            counts[k] = _multiplicity(m, u, residue)
-        else:
-            while fits(u) and (nxt := split_summand(cur, u)) is not None:
-                counts[k] += 1
-                cur = nxt
+        counts[k] = _top_rank(u, m) // u._top.dim
         left = [a - counts[k] * b for a, b in zip(left, u.dims)]
     if any(left):
         raise ValueError(
@@ -482,17 +635,12 @@ def decompose(m: Representation, catalog) -> tuple[int, ...]:
     return tuple(counts)
 
 
-# ---------------------------------------------------------------------------
-# isomorphism and indecomposability with explicit search caps
+def is_isomorphic(m: Representation, n: Representation) -> bool:
+    """Exact isomorphism test from the tops of the endomorphism rings.
 
-def is_isomorphic(m: Representation, n: Representation, cap: int = 2 ** 20) -> bool:
-    """Exact isomorphism test by searching for an invertible morphism.
-
-    Over a finite field every coefficient vector on a hom basis is
-    tried.  Over the rationals the determinant product is a polynomial
-    of per-variable degree at most the total dimension, so scanning the
-    integer grid 0..total per coordinate is still conclusive.  Raises
-    SearchSpaceTooLarge instead of sampling when the grid passes ``cap``.
+    With a_i and b_i the multiplicities of U_i in m and in n, dim E(m) +
+    dim E(n) - 2 dim Hom(m, n)/rad is the sum of (a_i - b_i)^2 d_i, which
+    vanishes exactly when m and n are isomorphic.
     """
     if m.pres != n.pres or m.field != n.field:
         raise ShapeMismatch("comparison needs a common presentation and field")
@@ -500,66 +648,27 @@ def is_isomorphic(m: Representation, n: Representation, cap: int = 2 ** 20) -> b
         return False
     if m.total == 0:
         return True
-    hom = hom_space(m, n)
-    if hom.dim == 0:
-        return False
-    if m.field.size is not None:
-        if m.field.size ** hom.dim > cap:
-            raise SearchSpaceTooLarge(
-                f"{m.field.size}^{hom.dim} candidate morphisms exceed the cap {cap}"
-            )
-        values = tuple(m.field.elements())
-    else:
-        if (m.total + 1) ** hom.dim > cap:
-            raise SearchSpaceTooLarge(
-                f"{m.total + 1}^{hom.dim} grid points exceed the cap {cap}"
-            )
-        values = tuple(range(m.total + 1))
-    for coeffs in itertools.product(values, repeat=hom.dim):
-        if all(c == 0 for c in coeffs):
-            continue
-        if combine_morphisms(hom, coeffs).is_isomorphism():
-            return True
-    return False
+    rank = _top_rank(m, n)
+    return rank > 0 and 2 * rank == m._top.dim + n._top.dim
 
 
-def is_indecomposable(m: Representation, cap: int = 2 ** 20) -> bool:
-    """Exact indecomposability test.
+def is_indecomposable(m: Representation) -> bool:
+    """Exact indecomposability test: whether End(m) is local.
 
-    Cheap certificates first (dimension one, a splitting simple, a
-    one-dimensional endomorphism ring); after that, over a finite field
-    every endomorphism is tried against being a proper idempotent.  Over
-    the rationals there is no such finite sweep, so the undecided case
-    raises SearchSpaceTooLarge.
+    A splitting simple settles it first, also over QQ, and ``_is_local``
+    decides the rest over GF(p).  Over QQ a top of dimension above one
+    is left undecided, and that raises SearchSpaceTooLarge.
     """
-    if m.total == 0:
-        return False
-    if m.total == 1:
-        return True
-    for v in m.pres.quiver.vertices:
-        if has_simple_summand_at(m, v):
-            return False  # total > 1, so a splitting simple is proper
-    end = hom_space(m, m)
-    if end.dim == 1:
-        return True
-    if m.field.size is None:
+    if m.total <= 1:
+        return m.total == 1
+    if any(has_simple_summand_at(m, v) for v in m.pres.quiver.vertices):
+        return False  # total > 1, so a splitting simple is proper
+    if m._local is None:
         raise SearchSpaceTooLarge(
-            "idempotent sweep needs a finite field; decide over GF(p)"
+            f"End(m)/rad has dimension {m._top.dim} over QQ; decide over GF(p)"
             " or use catalog decomposition"
         )
-    if m.field.size ** end.dim > cap:
-        raise SearchSpaceTooLarge(
-            f"{m.field.size}^{end.dim} endomorphisms exceed the cap {cap}"
-        )
-    ident = identity_morphism(m)
-    values = tuple(m.field.elements())
-    for coeffs in itertools.product(values, repeat=end.dim):
-        e = combine_morphisms(end, coeffs)
-        if e.is_zero() or e == ident:
-            continue
-        if compose_morphisms(e, e) == e:
-            return False
-    return True
+    return m._local
 
 
 # ---------------------------------------------------------------------------
@@ -770,117 +879,16 @@ def _support_connected(q, dims) -> bool:
     return seen == support
 
 
-def _fitting_power(block: Matrix) -> Matrix:
-    """``block`` raised to a power at least its size, by squaring: its
-    kernel and image have stopped changing there."""
-    size = 1
-    while size < block.nrows:
-        block = block * block
-        size *= 2
-    return block
-
-
-class _EndRing(NamedTuple):
-    dim: int
-    local: bool | None  # True, False, or None when undecided
-    # when local, the nilpotent shifts of the End basis as per-vertex
-    # blocks; they span the radical
-    radical: list | None
-
-
-def _end_ring(m) -> _EndRing:
-    """One solve of End(m): its dimension, whether it is local, and a
-    spanning set of its radical when that is certified.
-
-    By Fitting's lemma an endomorphism h splits m as ker h^N + im h^N,
-    so a shift b - λ of an End basis element b that is neither nilpotent
-    nor invertible proves End not local.  If every b has a nilpotent
-    shift, End = k.1 + J with J the span of those shifts.  Local needs J
-    nilpotent, seen as the chain m > Jm > J^2 m > ... reaching zero.
-    Then the products of elements of J span a nilpotent ideal, which
-    misses 1 and so is J itself: J is the radical, End/J is the prime
-    field, and m is absolutely indecomposable.  A b with no nilpotent
-    shift (a residue field larger than GF(p)), a chain that stalls, or a
-    field with no finite shift sweep (QQ) leaves it undecided.
-    """
-    end = hom_space(m, m)
-    if end.dim == 0:
-        return _EndRing(0, False, None)  # the zero module
-    if end.dim == 1:
-        return _EndRing(1, True, [])
-    if m.field.size is None:
-        return _EndRing(end.dim, None, None)
-    ones = [Matrix.identity(m.field, d) for d in m.dims]
-    radical = []
-    for b in end.basis:
-        for lam in m.field.elements():
-            h = [x - one.scale(lam) for x, one in zip(b.blocks, ones)]
-            power = [_fitting_power(x) for x in h]
-            if all(x.is_zero() for x in power):
-                radical.append(h)
-                break
-            if not all(x.is_invertible() for x in power):
-                return _EndRing(end.dim, False, None)
-    if len(radical) < end.dim:
-        return _EndRing(end.dim, None, None)
-    layer = ones  # per vertex, a column basis of J^k m
-    while any(w.ncols for w in layer):
-        below = []
-        for v, w in enumerate(layer):
-            span = Matrix.zeros(m.field, m.dims[v], 0)
-            for h in radical:
-                span = span.hstack(h[v] * w)
-            below.append(span.column_space_basis())
-        if sum(w.ncols for w in below) == sum(w.ncols for w in layer):
-            return _EndRing(end.dim, None, None)
-        layer = below
-    return _EndRing(end.dim, True, radical)
-
-
-def _residue_map(m) -> tuple[Matrix, ...]:
-    """The residue map End(m) -> End(m)/rad = GF(p) of a certified local
-    End(m), 1 on the identity and 0 on the radical, extended to all
-    per-vertex matrices: one matrix W_v per vertex, the map sending h to
-    the sum over v of the entrywise products of W_v and h_v."""
-    forms = [[Matrix.identity(m.field, d) for d in m.dims]] + m._end.radical
-    system = Matrix(m.field, len(forms), sum(d * d for d in m.dims), tuple(
-        tuple(x for block in h for row in block.rows for x in row) for h in forms))
-    rhs = Matrix.from_rows(m.field, [[1]] + [[0]] * (len(forms) - 1))
-    flat = iter([row[0] for row in system.solve(rhs).rows])
-    return tuple(
-        Matrix(m.field, d, d, tuple(tuple(itertools.islice(flat, d)) for _ in range(d)))
-        for d in m.dims
-    )
-
-
-def _end_ring_local(m):
-    """Whether End(m) is local: True, False or None when undecided; see
-    ``_end_ring``."""
-    return m._end.local
-
-
-def _is_new_indecomposable(m, catalog, same_dimvec) -> bool:
+def _is_new_indecomposable(m, same_dimvec) -> bool:
     """Whether ``m`` is indecomposable and isomorphic to no module of
-    ``same_dimvec``; ``catalog`` holds every smaller indecomposable.
-
-    The End-ring certificate decides most candidates; where it cannot,
-    every smaller class that fits is probed as a summand.  Both are
-    exact, and so is the final isomorphism probe, since ``has_summand``
-    is exact for an indecomposable of the same dimension vector.  It
-    skips classes whose End dimension differs from m's: isomorphic
-    modules have equal End dimensions.
-    """
-    if m.total > 1:
-        if any(has_simple_summand_at(m, v) for v in m.pres.quiver.vertices):
-            return False
-        local = _end_ring_local(m)
-        if local is False:
-            return False
-        if local is None and any(
-            has_summand(m, u) for u in catalog
-            if u.total < m.total and all(a <= b for a, b in zip(u.dims, m.dims))
-        ):
-            return False
+    ``same_dimvec``; exact over GF(p), since ``has_summand`` is exact for
+    an indecomposable of the same dimension vector.  Classes of another
+    End dimension are skipped: isomorphic modules have equal End
+    dimensions."""
+    if m.total > 1 and (
+        any(has_simple_summand_at(m, v) for v in m.pres.quiver.vertices) or not m._local
+    ):
+        return False
     return not any(
         has_summand(m, u) for u in same_dimvec if u._end.dim == m._end.dim
     )
@@ -981,7 +989,7 @@ def _scan_catalog(pres, field, max_total, budget):
                 m = Representation(pres, field, dims, mats)
                 if not check_relations(m)[0]:
                     continue
-                if _is_new_indecomposable(m, catalog, found_here):
+                if _is_new_indecomposable(m, found_here):
                     found_here.append(m)
             catalog.extend(found_here)
     return catalog, examined, tested
@@ -1127,7 +1135,7 @@ def _closure_catalog(pres, field, max_total, budget):
                     m = _extend(base, v, rvec)
                     tested += 1
                     same = [u for u in found if u.dims == m.dims]
-                    if _is_new_indecomposable(m, catalog, same):
+                    if _is_new_indecomposable(m, same):
                         found.append(m)
         catalog.extend(found)
     return catalog, examined, tested
@@ -1168,10 +1176,8 @@ def enumerate_indecomposables(
     builds one class per r-dimensional span of components, since
     GL_r acting on B_k^r gives isomorphic extensions.
 
-    Each tested candidate is kept when it is indecomposable and matches
-    no class found before it.  Indecomposability is decided from
-    End(candidate) by Fitting's lemma; where the residue field is larger
-    than GF(p) every smaller class is probed as a summand instead.
+    Each tested candidate is kept when ``_is_local`` finds it
+    indecomposable and it matches no class found before it.
     """
     if max_total < 0:
         raise ValueError(f"max_total must be nonnegative, got {max_total}")

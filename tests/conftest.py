@@ -1,6 +1,7 @@
 """Shared fixtures, and one PASS/FAIL line per acceptance criterion after the run."""
 
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -8,7 +9,27 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# generous: the slowest test takes about 25 s
+TEST_TIME_LIMIT_S = 300
+
 _RESULTS = {}
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Fail a test that runs past TEST_TIME_LIMIT_S, so a computation that
+    never ends fails its test instead of hanging the whole run."""
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past {TEST_TIME_LIMIT_S} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -43,11 +43,13 @@ from nodalq import (
     zero_representation,
 )
 
-from nodalq.linalg import all_matrices, rank_forms, similarity_forms
-from nodalq.reps import _compositions, _end_ring_local, _weighted_multisets
+from nodalq.linalg import all_matrices, block_diag, rank_forms, similarity_forms
+from nodalq.reps import _compositions, _radical, _weighted_multisets
 from util import (
     closure_catalog,
     decompose_by_peeling,
+    is_indecomposable_by_sweep,
+    is_isomorphic_by_sweep,
     is_new_indecomposable_by_probes,
     line_quiver,
     random_blow_datum,
@@ -218,11 +220,11 @@ def _decomposition_cases():
             for _ in range(10):
                 picks = rng.randint(1, 4)
                 cases.append((catalog, [rng.randrange(len(catalog)) for _ in range(picks)]))
-            undecided = [k for k, u in enumerate(catalog) if _end_ring_local(u) is None]
-            if undecided:
-                cases.append((catalog, [undecided[0]] * 2 + [rng.randrange(len(catalog))]))
+            larger = [k for k, u in enumerate(catalog) if u._top.dim > 1]
+            if larger:
+                cases.append((catalog, [larger[0]] * 2 + [rng.randrange(len(catalog))]))
     # over QQ the free module of the dual numbers has End dimension 2 and
-    # no finite shift sweep, so it is peeled
+    # no finite shift sweep; its top is QQ
     dual = _dual_numbers()
     v = "(v0 v1)"
     rational = (simple_representation(dual, QQ, v),
@@ -233,7 +235,7 @@ def _decomposition_cases():
 
 def test_decompose_matches_peeling_oracle():
     cases, rng = _decomposition_cases()
-    assert any(u.field == F2 and u.dims == (2, 2) and _end_ring_local(u) is None
+    assert any(u.field == F2 and u.dims == (2, 2) and u._top.dim > 1
                and picks.count(k) == 2
                for catalog, picks in cases for k, u in enumerate(catalog))
     for catalog, picks in cases:
@@ -250,6 +252,15 @@ def test_decompose_matches_peeling_oracle():
         with pytest.raises(ValueError) as fast:
             decompose(m, short)
         assert str(fast.value) == str(oracle.value)
+
+
+def test_decompose_skips_a_zero_class():
+    # a zero class has a zero top: it counts 0 and leaves the refusal as is
+    s1, s2 = (simple_representation(A2, F2, v) for v in ("v0", "v1"))
+    zero = zero_representation(A2, F2)
+    with pytest.raises(ValueError, match=r"stuck at dimension vector \(0, 1\)"):
+        decompose(direct_sum(s1, s2), [zero, s1])
+    assert decompose(direct_sum(s1, s2), [zero, s1, s2]) == (0, 1, 1)
 
 
 def test_isomorphism_distinguishes_jordan_blocks():
@@ -277,9 +288,38 @@ def test_search_caps_raise_instead_of_guessing():
     j2 = make_representation(pres, F2, {v: 2}, {"va0": [[0, 0], [1, 0]]})
     stacked = direct_sum(j2, j2)  # no simple summands, endo dimension 4
     with pytest.raises(SearchSpaceTooLarge):
-        is_isomorphic(stacked, stacked, cap=2)
+        is_isomorphic_by_sweep(stacked, stacked, cap=2)
     with pytest.raises(SearchSpaceTooLarge):
-        is_indecomposable(stacked, cap=2)
+        is_indecomposable_by_sweep(stacked, cap=2)
+    # the library reads both answers off the top and has no cap
+    assert is_isomorphic(stacked, stacked)
+    assert not is_indecomposable(stacked)
+
+
+def test_formerly_capped_cases_are_decided():
+    # S^5 at one vertex: End is M_5(GF(2)), 2^25 endomorphisms
+    s = simple_representation(A2, F2, "v0")
+    five = direct_sum(s, direct_sum(s, direct_sum(s, direct_sum(s, s))))
+    twisted = _base_changed(five, seeded(5))
+    with pytest.raises(SearchSpaceTooLarge):
+        is_isomorphic_by_sweep(five, twisted)
+    assert is_isomorphic(five, twisted)
+    assert not is_indecomposable(five)
+    # the free module of the dual numbers over QQ: End is QQ[x]/x^2, local
+    dual = _dual_numbers()
+    free = make_representation(dual, QQ, {"(v0 v1)": 2}, {"va0": [[0, 0], [1, 0]]})
+    with pytest.raises(SearchSpaceTooLarge):
+        is_indecomposable_by_sweep(free)
+    assert is_indecomposable(free)
+    # P^3 over QQ for P = (QQ -> QQ): Hom dimension 9 and 7^9 grid points
+    p = make_representation(A2, QQ, {"v0": 1, "v1": 1}, {"va0": [[1]]})
+    cube = direct_sum(p, direct_sum(p, p))
+    twisted = _base_changed(cube, seeded(9))
+    with pytest.raises(SearchSpaceTooLarge):
+        is_isomorphic_by_sweep(cube, twisted)
+    assert is_isomorphic(cube, twisted)
+    split = direct_sum(direct_sum(p, p), make_representation(A2, QQ, {"v0": 1, "v1": 1}, {}))
+    assert not is_isomorphic(cube, split)
 
 
 def test_indecomposability_basics():
@@ -518,7 +558,7 @@ def test_end_ring_certificate_agrees_with_summand_probes():
         catalog, _ = closure_catalog(pres, field, total - 1, 64)
         verdicts = {True: [], False: [], None: []}
         for m in unpruned_candidates(pres, field, catalog, total, 64):
-            verdicts[_end_ring_local(m)].append(m)
+            verdicts[m._local].append(m)
         for local, ms in verdicts.items():
             tally[local] += len(ms)
         # nearly every unpruned candidate splits: check a sample of those
@@ -529,12 +569,12 @@ def test_end_ring_certificate_agrees_with_summand_probes():
                 # probes decide indecomposability exactly
                 assert is_new_indecomposable_by_probes(m, catalog, ()) is local, m.dims
                 try:
-                    sweep = is_indecomposable(m, cap=2 ** 10)
+                    sweep = is_indecomposable_by_sweep(m, cap=2 ** 10)
                 except SearchSpaceTooLarge:
                     continue
                 assert sweep is local, m.dims
                 swept += 1
-    assert tally[True] > 100 and tally[False] > 1000 and tally[None] > 0, tally
+    assert tally[True] > 100 and tally[False] > 1000 and tally[None] == 0, tally
     assert swept > 300, swept
 
 
@@ -545,30 +585,173 @@ def test_end_ring_certificate_decides_or_falls_back(monkeypatch):
     quadratic = make_representation(
         kronecker, F2, {"1": 2, "2": 2}, {"a": [[1, 0], [0, 1]], "b": [[0, 1], [1, 1]]})
     assert hom_space(quadratic, quadratic).dim == 2
-    assert _end_ring_local(quadratic) is None
+    assert quadratic._local is True and quadratic._top.dim == 2
     catalog = enumerate_indecomposables(kronecker, F2, 4, budget=64, method="closure")
     assert sum(has_summand(c, quadratic) for c in catalog.classes if c.dims == (2, 2)) == 1
     # split modules: End(S + S) is a full matrix ring, and End(P + S)
     # holds the projection onto P
     s1 = simple_representation(A2, F2, "v0")
-    assert _end_ring_local(direct_sum(s1, s1)) is False
+    assert direct_sum(s1, s1)._local is False
     p1 = make_representation(A2, F2, {"v0": 1, "v1": 1}, {"va0": [[1]]})
-    assert _end_ring_local(direct_sum(p1, simple_representation(A2, F2, "v1"))) is False
+    assert direct_sum(p1, simple_representation(A2, F2, "v1"))._local is False
     # a basis of End(S + S) = M_2(GF(3)) in which every element is a
-    # scalar plus a nilpotent: only the radical chain sees End is not local
+    # scalar plus a nilpotent: the radical chain stalls, and the top,
+    # M_2(GF(3)) itself, is not commutative
     twice = direct_sum(*[simple_representation(A2, F3, "v0")] * 2)
     rebased = HomSpace(twice, twice, tuple(
         Morphism(twice, twice, (Matrix.from_rows(F3, rows), Matrix.zeros(F3, 0, 0)))
         for rows in ([[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [2, 0]])
     ))
     monkeypatch.setattr("nodalq.reps.hom_space", lambda m, n: rebased)
-    assert _end_ring_local(twice) is None
+    assert twice._local is False
     monkeypatch.undo()
     # the dual numbers as a module over themselves: End is local of dimension 2
     free = make_representation(_dual_numbers(), F3, {"(v0 v1)": 2}, {"va0": [[0, 0], [1, 0]]})
     assert hom_space(free, free).dim == 2
-    assert _end_ring_local(free) is True
-    assert _end_ring_local(p1) is True
+    assert free._local is True
+    assert p1._local is True
+
+
+KRONECKER = hereditary(Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2"))))
+KRONECKER3 = hereditary(
+    Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2"), Arrow("c", "1", "2"))))
+TWO_LOOPS = hereditary(Quiver(("x",), (Arrow("a", "x", "x"), Arrow("b", "x", "x"))))
+ZIGZAG = hereditary(line_quiver(3, orientations=(1, 0)))
+
+
+def _brute_radical(m):
+    """The coefficient vectors on the End basis of {x in End(m) : xy is
+    nilpotent for every y in End(m)}, the largest nilpotent ideal, by
+    listing End(m)."""
+    p = m.field.size
+    end = hom_space(m, m)
+    coeffs = list(itertools.product(range(p), repeat=end.dim))
+    elements = [[b.rows for b in combine_morphisms(end, c).blocks] for c in coeffs]
+
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(r, c)) % p for c in zip(*b)] for r in a]
+
+    def nilpotent(x):
+        for block in x:
+            power = block
+            for _ in range(len(block) - 1):
+                power = mul(power, block)
+            if any(any(r) for r in power):
+                return False
+        return True
+
+    return {c for c, x in zip(coeffs, elements) if nilpotent(x) and all(
+        nilpotent([mul(a, b) for a, b in zip(x, y)]) for y in elements)}
+
+
+def _trace_form_kernel_dimension(m):
+    end = hom_space(m, m)
+    gram = [[sum(sum(b.rows[i][i] for i in range(b.nrows))
+                 for b in compose_morphisms(f, g).blocks) for g in end.basis]
+            for f in end.basis]
+    return end.dim - Matrix.from_rows(m.field, gram).rank()
+
+
+def test_radical_matches_brute_force_nilpotent_ideal():
+    # repeated summands and totals divisible by p make the trace form
+    # degenerate beyond the radical, so the levels above 0 must act:
+    # Kronecker modules of dimensions (1, 1) twice, (1, 2) once and
+    # twice, and (2, 3), all with End = GF(p) per summand
+    rng = seeded(5)
+    modules = []
+    for p in (2, 3, 5):
+        for pres in (KRONECKER, TWO_LOOPS):
+            for _ in range(6):
+                u = random_representation(pres, GF(p), rng, max_dim=2)
+                modules += [u, direct_sum(u, u)]
+    point = make_representation(KRONECKER, F2, {"1": 1, "2": 1}, {"a": [[1]]})
+    line = make_representation(KRONECKER, F3, {"1": 1, "2": 2}, {"a": [[1], [0]], "b": [[0], [1]]})
+    plane = make_representation(KRONECKER, GF(5), {"1": 2, "2": 3},
+                                {"a": [[1, 0], [0, 1], [0, 0]], "b": [[0, 0], [1, 0], [0, 1]]})
+    modules += [direct_sum(point, point), line, direct_sum(line, line), plane]
+    degenerate = {2: 0, 3: 0, 5: 0}
+    checked = 0
+    for m in modules:
+        p = m.field.size
+        if m.total == 0 or p ** hom_space(m, m).dim > 300:
+            continue
+        rad, want = _radical(m), _brute_radical(m)
+        assert p ** len(rad) == len(want) and set(rad) <= want, (p, m.dims)
+        degenerate[p] += _trace_form_kernel_dimension(m) > len(rad)
+        checked += 1
+    assert all(degenerate.values()) and checked > 40, (degenerate, checked)
+
+
+def test_top_decides_like_the_sweep_oracles():
+    rng = seeded(11)
+    pairs, singles = [], []
+    for field in (F2, F3, GF(5), QQ):
+        for pres in (KRONECKER, KRONECKER3, TWO_LOOPS, ZIGZAG):
+            for _ in range(4):
+                u = random_representation(pres, field, rng, max_dim=2)
+                v = random_representation(pres, field, rng, max_dim=2)
+                singles += [u, direct_sum(u, v), direct_sum(u, u)]
+                pairs += [(u, v), (u, _base_changed(u, rng)),
+                          (direct_sum(u, v), _base_changed(direct_sum(v, u), rng))]
+    # base-changed sums of catalog classes, with residue fields GF(4) and
+    # GF(9) among them; a sum of two GF(9) classes can leave every Fitting
+    # shift invertible, and then only the Frobenius test splits it
+    for field in (F2, F3):
+        catalog = enumerate_indecomposables(KRONECKER, field, 4, budget=64, method="closure").classes
+        wide = [k for k, u in enumerate(catalog) if u._top.dim > 1]
+        draws = [[rng.randrange(len(catalog)) for _ in range(rng.randint(1, 3))]
+                 for _ in range(12)]
+        for picks in draws + [list(two) for two in itertools.combinations(wide, 2)] * 4:
+            m = catalog[picks[0]]
+            for k in picks[1:]:
+                m = direct_sum(m, catalog[k])
+            m = _base_changed(m, rng)
+            assert decompose(m, catalog) == tuple(picks.count(k) for k in range(len(catalog)))
+            n = rng.choice([u for u in catalog if u.dims == catalog[picks[0]].dims])
+            for k in picks[1:]:
+                n = direct_sum(n, catalog[k])
+            singles.append(m)
+            pairs += [(m, _base_changed(m, rng)), (m, n)]
+    seen = {("ind", True): 0, ("ind", False): 0, ("iso", True): 0, ("iso", False): 0}
+    for m in singles:
+        try:
+            want = is_indecomposable_by_sweep(m, cap=2 ** 10)
+        except SearchSpaceTooLarge:
+            continue
+        assert is_indecomposable(m) is want, (m.field, m.dims)
+        seen["ind", want] += 1
+    for m, n in pairs:
+        try:
+            want = is_isomorphic_by_sweep(m, n, cap=2 ** 10)
+        except SearchSpaceTooLarge:
+            continue
+        assert is_isomorphic(m, n) is want, (m.field, m.dims)
+        seen["iso", want] += 1
+    assert min(seen.values()) > 50, seen
+
+
+def test_frobenius_splits_a_commutative_top_of_two_fields(monkeypatch):
+    # the Kronecker modules a = I, b = the companion matrix of x^2 + 1 or
+    # of x^2 + x + 2 over GF(3) are two GF(9)-points, and End of their sum
+    # is GF(9) x GF(9); in a basis of elements with both components
+    # outside GF(3) every Fitting shift is invertible, so only the
+    # Frobenius test on the top sees the two field factors
+    c1, c2 = Matrix.from_rows(F3, [[0, 2], [1, 0]]), Matrix.from_rows(F3, [[0, 1], [1, 2]])
+    m = direct_sum(*(make_representation(KRONECKER, F3, {"1": 2, "2": 2},
+                                         {"a": [[1, 0], [0, 1]], "b": c}) for c in (c1, c2)))
+    one = Matrix.identity(F3, 2)
+
+    def element(alpha, beta, gamma, delta):
+        x = block_diag(F3, [one.scale(alpha) + c1.scale(beta), one.scale(gamma) + c2.scale(delta)])
+        return Morphism(m, m, (x, x))
+
+    rebased = HomSpace(m, m, tuple(element(*c) for c in
+                                   ((0, 1, 0, 1), (1, 1, 0, 1), (0, 1, 1, 1), (0, 1, 0, 2))))
+    assert hom_space(m, m).dim == 4
+    for f in rebased.basis:  # each is an endomorphism of m
+        assert all(f.block("2") * m.mat(a) == m.mat(a) * f.block("1") for a in ("a", "b"))
+    monkeypatch.setattr("nodalq.reps.hom_space", lambda m, n: rebased)
+    assert m._top.dim == 4 and m._local is False
 
 
 def test_enumerate_representatives_are_certified():
@@ -629,8 +812,8 @@ def _oracle_catalog_size(pres, total_bound):
                                     "gamma": cm,
                                 },
                             )
-                            if is_indecomposable(m) and not any(
-                                is_isomorphic(m, o) for o in bucket
+                            if is_indecomposable_by_sweep(m) and not any(
+                                is_isomorphic_by_sweep(m, o) for o in bucket
                             ):
                                 bucket.append(m)
                     count += len(bucket)

@@ -6,7 +6,10 @@ and never touches the construction code, so an agreement is meaningful.
 The dimension oracle lists every path with no zero subword and unifies
 the path classes that the commutation relations identify.
 The decomposition oracle peels one summand at a time off what is left,
-restarting from the first catalog class after every split.
+restarting from the first catalog class after every split.  The
+isomorphism and indecomposability oracles sweep every coefficient
+vector on a hom basis, up to a cap, instead of reading the top of an
+endomorphism ring.
 The closure oracle is the unpruned extension enumerator: it builds every
 nonzero extension class of every direct sum of smaller classes.  The
 scan oracle builds every matrix tuple of every dimension vector.  Both
@@ -35,13 +38,18 @@ from nodalq import (
 )
 from nodalq.linalg import all_matrices
 from nodalq.reps import (
+    ShapeMismatch,
     _compositions,
     _support_connected,
     _weighted_multisets,
     check_relations,
+    combine_morphisms,
+    compose_morphisms,
     direct_sum,
     has_simple_summand_at,
     has_summand,
+    hom_space,
+    identity_morphism,
     path_matrix,
     simple_representation,
     split_summand,
@@ -419,6 +427,87 @@ def is_new_indecomposable_by_probes(m, catalog, same_dimvec) -> bool:
                     return False
     for u in same_dimvec:
         if has_summand(m, u):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# isomorphism and indecomposability by capped sweeps, the references for
+# the End-ring top
+
+def is_isomorphic_by_sweep(m, n, cap: int = 2 ** 20) -> bool:
+    """Exact isomorphism test by searching for an invertible morphism.
+
+    Over a finite field every coefficient vector on a hom basis is
+    tried.  Over the rationals the determinant product is a polynomial
+    of per-variable degree at most the total dimension, so scanning the
+    integer grid 0..total per coordinate is still conclusive.  Raises
+    SearchSpaceTooLarge instead of sampling when the grid passes ``cap``.
+    """
+    if m.pres != n.pres or m.field != n.field:
+        raise ShapeMismatch("comparison needs a common presentation and field")
+    if m.dims != n.dims:
+        return False
+    if m.total == 0:
+        return True
+    hom = hom_space(m, n)
+    if hom.dim == 0:
+        return False
+    if m.field.size is not None:
+        if m.field.size ** hom.dim > cap:
+            raise SearchSpaceTooLarge(
+                f"{m.field.size}^{hom.dim} candidate morphisms exceed the cap {cap}"
+            )
+        values = tuple(m.field.elements())
+    else:
+        if (m.total + 1) ** hom.dim > cap:
+            raise SearchSpaceTooLarge(
+                f"{m.total + 1}^{hom.dim} grid points exceed the cap {cap}"
+            )
+        values = tuple(range(m.total + 1))
+    for coeffs in itertools.product(values, repeat=hom.dim):
+        if all(c == 0 for c in coeffs):
+            continue
+        if combine_morphisms(hom, coeffs).is_isomorphism():
+            return True
+    return False
+
+
+def is_indecomposable_by_sweep(m, cap: int = 2 ** 20) -> bool:
+    """Exact indecomposability test.
+
+    Cheap certificates first (dimension one, a splitting simple, a
+    one-dimensional endomorphism ring); after that, over a finite field
+    every endomorphism is tried against being a proper idempotent.  Over
+    the rationals there is no such finite sweep, so the undecided case
+    raises SearchSpaceTooLarge.
+    """
+    if m.total == 0:
+        return False
+    if m.total == 1:
+        return True
+    for v in m.pres.quiver.vertices:
+        if has_simple_summand_at(m, v):
+            return False  # total > 1, so a splitting simple is proper
+    end = hom_space(m, m)
+    if end.dim == 1:
+        return True
+    if m.field.size is None:
+        raise SearchSpaceTooLarge(
+            "idempotent sweep needs a finite field; decide over GF(p)"
+            " or use catalog decomposition"
+        )
+    if m.field.size ** end.dim > cap:
+        raise SearchSpaceTooLarge(
+            f"{m.field.size}^{end.dim} endomorphisms exceed the cap {cap}"
+        )
+    ident = identity_morphism(m)
+    values = tuple(m.field.elements())
+    for coeffs in itertools.product(values, repeat=end.dim):
+        e = combine_morphisms(end, coeffs)
+        if e.is_zero() or e == ident:
+            continue
+        if compose_morphisms(e, e) == e:
             return False
     return True
 
