@@ -269,10 +269,26 @@ def _avoiding(words):
     return step
 
 
-def _live_graph(out, head, step, cap: int):
+def _arrow_graph(pres: Presentation):
+    """Per vertex, the indices of its outgoing arrows; per arrow, the index
+    of its head; and the map from a written word to its arrow indices."""
+    q = pres.quiver
+    vertex = {v: k for k, v in enumerate(q.vertices)}
+    arrow = {a.name: k for k, a in enumerate(q.arrows)}
+    out = [[] for _ in q.vertices]
+    for k, a in enumerate(q.arrows):
+        out[vertex[a.source]].append(k)
+
+    def word(written):
+        return tuple(arrow[n] for n in reversed(written))
+
+    return out, [vertex[a.target] for a in q.arrows], word
+
+
+def _live_graph(out, head, step, refusal: str):
     """The (vertex, state) pairs that the paths read by ``step`` reach,
     successors before predecessors, and each pair's successors.  Raises
-    NonNilpotentCycle if they form a cycle."""
+    NonNilpotentCycle, saying ``refusal``, if they form a cycle."""
     succ = {}
     order = []
 
@@ -294,9 +310,7 @@ def _live_graph(out, head, step, cap: int):
                 on_path.discard(node)
                 order.append(node)
             elif nxt in on_path:
-                raise NonNilpotentCycle(
-                    f"a relation-free path exceeded the length cap {cap}"
-                )
+                raise NonNilpotentCycle(refusal)
             elif nxt not in succ:
                 on_path.add(nxt)
                 stack.append((nxt, visit(nxt)))
@@ -374,30 +388,19 @@ def dimension(pres: Presentation, max_path_length: int = 64) -> int:
     """
     if max_path_length < 0:
         raise ValueError(f"max_path_length must be nonnegative, got {max_path_length}")
-    q = pres.quiver
-    vertex = {v: k for k, v in enumerate(q.vertices)}
-    arrow = {a.name: k for k, a in enumerate(q.arrows)}
-    head = [vertex[a.target] for a in q.arrows]
-    out = [[] for _ in q.vertices]
-    for k, a in enumerate(q.arrows):
-        out[vertex[a.source]].append(k)
-
-    def word(written):
-        return tuple(arrow[n] for n in reversed(written))
-
+    refusal = f"a relation-free path exceeded the length cap {max_path_length}"
+    out, head, word = _arrow_graph(pres)
     zeros = [word(w) for w in pres.zero_words()]
-    order, succ = _live_graph(out, head, _avoiding(zeros), max_path_length)
+    order, succ = _live_graph(out, head, _avoiding(zeros), refusal)
     longest = {}
     for node in order:
         longest[node] = max((longest[m] + 1 for m in succ[node]), default=0)
     if max(longest.values(), default=0) > max_path_length:
-        raise NonNilpotentCycle(
-            f"a relation-free path exceeded the length cap {max_path_length}"
-        )
+        raise NonNilpotentCycle(refusal)
     commutations = [(word(l), word(r)) for l, r in pres.commutation_pairs()]
     if commutations:
         rules = _complete(zeros, commutations)
-        order, succ = _live_graph(out, head, _avoiding(rules), max_path_length)
+        order, succ = _live_graph(out, head, _avoiding(rules), refusal)
     count = {}
     for node in order:
         count[node] = 1 + sum(count[m] for m in succ[node])

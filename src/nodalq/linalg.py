@@ -4,6 +4,13 @@ No floating point anywhere.  Prime-field elements are ints in
 ``range(p)``; rational entries are ``fractions.Fraction``.  Matrices are
 immutable and carry their field; zero-by-n shapes are first-class
 citizens because representation spaces are often zero-dimensional.
+
+The field kernel is one reduction rule: operations compute with native
+``+ - *`` and reduce each output entry once by ``% field.modulus``, which
+is p over GF(p).  Every rational is its own residue, so QQ's modulus is an
+object whose ``__rmod__`` returns its left operand (``int`` and
+``Fraction`` defer to it): ``x % QQ.modulus`` is ``x``, and no matrix
+method branches on its field.  ``coerce`` brings outside values in.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
@@ -24,26 +32,19 @@ class PrimeField:
         if self.p not in SUPPORTED_PRIMES:
             raise ValueError(f"characteristic must be one of {SUPPORTED_PRIMES}, got {self.p}")
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
+    @property
+    def modulus(self):
+        return self.p
 
     def coerce(self, x):
-        return int(x) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
+        """The residue of an integral value, or of a fraction a/b with p
+        not dividing b, which is a times the inverse of b; anything else
+        has no residue and raises ValueError."""
+        if x == int(x):
+            return int(x) % self.p
+        if isinstance(x, Fraction) and x.denominator % self.p:
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
+        raise ValueError(f"{x!r} has no residue in {self}")
 
     def inv(self, a):
         if a % self.p == 0:
@@ -61,28 +62,19 @@ class PrimeField:
         return f"GF({self.p})"
 
 
+class _OwnResidue:
+    """A modulus under which every value is its own residue."""
+
+    def __rmod__(self, x):
+        return x
+
+
 @dataclass(frozen=True)
 class RationalField:
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
+    modulus = _OwnResidue()
 
     def coerce(self, x):
         return Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
@@ -123,12 +115,11 @@ class Matrix:
 
     @staticmethod
     def zeros(field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero()
-        return Matrix(field, nrows, ncols, tuple((z,) * ncols for _ in range(nrows)))
+        return Matrix(field, nrows, ncols, ((field.coerce(0),) * ncols,) * nrows)
 
     @staticmethod
     def identity(field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
+        z, o = field.coerce(0), field.coerce(1)
         return Matrix(
             field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
         )
@@ -137,69 +128,42 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, op, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        f = self.field
-        return Matrix(
-            f,
-            self.nrows,
-            self.ncols,
-            tuple(
-                tuple(f.add(a, b) for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            ),
-        )
+        m = self.field.modulus
+        return Matrix(self.field, self.nrows, self.ncols, tuple([
+            tuple([x % m for x in map(op, r1, r2)]) for r1, r2 in zip(self.rows, other.rows)
+        ]))
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        f = self.field
-        return Matrix(
-            f,
-            self.nrows,
-            self.ncols,
-            tuple(
-                tuple(f.sub(a, b) for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            ),
-        )
+        return self._entrywise(sub, other)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        f = self.field
-        z = f.zero()
-        out = []
-        for i in range(self.nrows):
-            ri = self.rows[i]
-            row = []
-            for j in range(other.ncols):
-                s = z
-                for k in range(self.ncols):
-                    s = f.add(s, f.mul(ri[k], other.rows[k][j]))
-                row.append(s)
-            out.append(tuple(row))
-        return Matrix(f, self.nrows, other.ncols, tuple(out))
+        if not self.ncols:  # empty sums would be the int 0 over QQ
+            return Matrix.zeros(self.field, self.nrows, other.ncols)
+        m = self.field.modulus
+        cols = list(zip(*other.rows))
+        return Matrix(self.field, self.nrows, other.ncols, tuple([
+            tuple([sum(map(mul, row, col)) % m for col in cols]) for row in self.rows
+        ]))
 
     def scale(self, c) -> "Matrix":
-        f = self.field
-        c = f.coerce(c)
-        return Matrix(
-            f, self.nrows, self.ncols, tuple(tuple(f.mul(c, x) for x in r) for r in self.rows)
-        )
+        c, m = self.field.coerce(c), self.field.modulus
+        return Matrix(self.field, self.nrows, self.ncols,
+                      tuple([tuple([c * x % m for x in r]) for r in self.rows]))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            self.ncols,
-            self.nrows,
-            tuple(tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.ncols)),
-        )
+        cols = tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols
+        return Matrix(self.field, self.ncols, self.nrows, cols)
 
     def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(x == z for r in self.rows for x in r)
+        return not any(map(any, self.rows))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
@@ -218,31 +182,30 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and pivot column indices."""
-        f = self.field
-        z = f.zero()
+        m = self.field.modulus
         rows = [list(r) for r in self.rows]
         pivots = []
         pr = 0
         for pc in range(self.ncols):
             sel = None
             for r in range(pr, len(rows)):
-                if rows[r][pc] != z:
+                if rows[r][pc]:
                     sel = r
                     break
             if sel is None:
                 continue
             rows[pr], rows[sel] = rows[sel], rows[pr]
-            inv = f.inv(rows[pr][pc])
-            rows[pr] = [f.mul(inv, x) for x in rows[pr]]
-            for r in range(len(rows)):
-                if r != pr and rows[r][pc] != z:
-                    c = rows[r][pc]
-                    rows[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[r], rows[pr])]
+            inv = self.field.inv(rows[pr][pc])
+            top = rows[pr] = [inv * x % m for x in rows[pr]]
+            for r, row in enumerate(rows):
+                c = row[pc]
+                if c and r != pr:
+                    rows[r] = [(x - c * y) % m for x, y in zip(row, top)]
             pivots.append(pc)
             pr += 1
             if pr == len(rows):
                 break
-        return Matrix(f, self.nrows, self.ncols, tuple(tuple(r) for r in rows)), tuple(pivots)
+        return Matrix(self.field, self.nrows, self.ncols, tuple(map(tuple, rows))), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -254,14 +217,15 @@ class Matrix:
         the ``t``-th free column and zeros in the other free columns.
         """
         f = self.field
+        z, o, m = f.coerce(0), f.coerce(1), f.modulus
         R, pivots = self.rref()
         free = [c for c in range(self.ncols) if c not in pivots]
         basis = []
         for fc in free:
-            v = [f.zero()] * self.ncols
-            v[fc] = f.one()
+            v = [z] * self.ncols
+            v[fc] = o
             for r, pc in enumerate(pivots):
-                v[pc] = f.neg(R.rows[r][fc])
+                v[pc] = -R.rows[r][fc] % m
             basis.append(tuple(v))
         return tuple(basis)
 
@@ -287,7 +251,7 @@ class Matrix:
         for pc in pivots:
             if pc >= n:
                 return None
-        z = f.zero()
+        z = f.coerce(0)
         cols = []
         for j in range(b.ncols):
             x = [z] * n
@@ -314,17 +278,15 @@ def block_diag(field, blocks: Iterable[Matrix]) -> Matrix:
     blocks = list(blocks)
     nr = sum(b.nrows for b in blocks)
     nc = sum(b.ncols for b in blocks)
-    z = field.zero()
-    rows = []
+    z = field.coerce(0)
     r0, c0 = 0, 0
     grid = [[z] * nc for _ in range(nr)]
     for b in blocks:
         for i in range(b.nrows):
-            for j in range(b.ncols):
-                grid[r0 + i][c0 + j] = b.rows[i][j]
+            grid[r0 + i][c0:c0 + b.ncols] = b.rows[i]
         r0 += b.nrows
         c0 += b.ncols
-    return Matrix(field, nr, nc, tuple(tuple(r) for r in grid))
+    return Matrix(field, nr, nc, tuple(map(tuple, grid)))
 
 
 def all_matrices(field, nrows: int, ncols: int):
@@ -338,7 +300,7 @@ def all_matrices(field, nrows: int, ncols: int):
 def rank_forms(field, nrows, ncols):
     """The matrices [[I_r, 0], [0, 0]], r = 0..min(nrows, ncols): one per
     orbit of GL(nrows) x GL(ncols) acting by base change at both ends."""
-    z, o = field.zero(), field.one()
+    z, o = field.coerce(0), field.coerce(1)
     for r in range(min(nrows, ncols) + 1):
         rows = tuple(
             tuple(o if i == j < r else z for j in range(ncols)) for i in range(nrows)
@@ -349,24 +311,25 @@ def rank_forms(field, nrows, ncols):
 def _monic(field, degree):
     """Monic polynomials of a degree, as coefficient tuples lowest first."""
     for low in itertools.product(field.elements(), repeat=degree):
-        yield low + (field.one(),)
+        yield low + (field.coerce(1),)
 
 
 def _poly_mul(field, f, g):
-    out = [field.zero()] * (len(f) + len(g) - 1)
+    out = [field.coerce(0)] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         for j, b in enumerate(g):
-            out[i + j] = field.add(out[i + j], field.mul(a, b))
-    return tuple(out)
+            out[i + j] += a * b
+    m = field.modulus
+    return tuple(x % m for x in out)
 
 
 def _companion(field, f) -> Matrix:
     """Companion matrix of a monic polynomial: ones below the diagonal,
     minus the lower coefficients in the last column."""
     n = len(f) - 1
-    z, o = field.zero(), field.one()
+    z, o, m = field.coerce(0), field.coerce(1), field.modulus
     rows = tuple(
-        tuple(o if j == i - 1 else z for j in range(n - 1)) + (field.neg(f[i]),)
+        tuple(o if j == i - 1 else z for j in range(n - 1)) + (-f[i] % m,)
         for i in range(n)
     )
     return Matrix(field, n, n, rows)

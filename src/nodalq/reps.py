@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .construct import blow_presentation, glue_presentation
+from .construct import _arrow_graph, _avoiding, _live_graph, blow_presentation, glue_presentation
 from .linalg import Matrix, all_matrices, block_diag, rank_forms, similarity_forms
 from .quiver import Presentation
 
@@ -250,7 +250,7 @@ def combine_morphisms(hom: HomSpace, coeffs) -> Morphism:
     for k, (nd, md) in enumerate(zip(hom.target.dims, hom.source.dims)):
         acc = Matrix.zeros(field, nd, md)
         for c, f in zip(cs, hom.basis):
-            if c != field.zero():
+            if c:
                 acc = acc + f.blocks[k].scale(c)
         blocks.append(acc)
     return Morphism(hom.source, hom.target, tuple(blocks))
@@ -262,6 +262,7 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
         raise ShapeMismatch("hom spaces need a common presentation and field")
     q = m.pres.quiver
     field = m.field
+    z, mod = field.coerce(0), field.modulus
     offsets = []
     pos = 0
     for v in q.vertices:
@@ -279,13 +280,12 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
         ma, na = m.mat(a.name), n.mat(a.name)
         for i in range(n.dims[ti]):
             for j in range(m.dims[si]):
-                row = [field.zero()] * unknowns
+                row = [z] * unknowns
                 for k in range(m.dims[ti]):
-                    col = uidx(ti, i, k)
-                    row[col] = field.add(row[col], ma.rows[k][j])
+                    row[uidx(ti, i, k)] = ma.rows[k][j]
                 for k in range(n.dims[si]):
                     col = uidx(si, k, j)
-                    row[col] = field.sub(row[col], na.rows[i][k])
+                    row[col] = (row[col] - na.rows[i][k]) % mod
                 rows.append(tuple(row))
     system = Matrix(field, len(rows), unknowns, tuple(rows))
     basis = []
@@ -503,14 +503,14 @@ def _residue(m, g, f) -> list:
     blocks of two morphisms composing to an endomorphism of m; only the
     weighted entries of g.f are formed."""
     top = m._top
-    coerce = m.field.coerce
+    mod = m.field.modulus
     out = [0] * top.dim
     for (v, i, j), w in zip(top.entries, top.weights):
         left, right = g[v].rows[i], f[v].rows
-        x = coerce(sum(a * right[k][j] for k, a in enumerate(left)))
+        x = sum(a * right[k][j] for k, a in enumerate(left)) % mod
         if x:
             out = [o + x * y for o, y in zip(out, w)]
-    return [coerce(o) for o in out]
+    return [o % mod for o in out]
 
 
 def _top_rank(m: Representation, n: Representation) -> int:
@@ -598,8 +598,7 @@ def _is_local(m):
         power = b
         for _ in range(field.size - 2):
             power = [x * y for x, y in zip(power, b)]
-        frobenius.append([field.sub(x, y)
-                          for x, y in zip(_residue(m, power, b), _residue(m, ones, b))])
+        frobenius.append([x - y for x, y in zip(_residue(m, power, b), _residue(m, ones, b))])
     return Matrix.from_rows(field, frobenius).rank() == m._top.dim - 1
 
 
@@ -687,6 +686,7 @@ def _glue_blocks(m: Representation, i: str, j: str, merged_id):
         else:
             gdims.append(m.dim(gv))
     field = m.field
+    z = field.coerce(0)
 
     def part_offset(v):
         # the i part sits above the j part in the merged space
@@ -700,10 +700,9 @@ def _glue_blocks(m: Representation, i: str, j: str, merged_id):
         nc = di + dj if src in (i, j) else m.dim(src)
         r0 = part_offset(tgt) if tgt in (i, j) else 0
         c0 = part_offset(src) if src in (i, j) else 0
-        grid = [[field.zero()] * nc for _ in range(nr)]
+        grid = [[z] * nc for _ in range(nr)]
         for r in range(block.nrows):
-            for c in range(block.ncols):
-                grid[r0 + r][c0 + c] = block.rows[r][c]
+            grid[r0 + r][c0:c0 + block.ncols] = block.rows[r]
         mats.append(Matrix(field, nr, nc, tuple(tuple(row) for row in grid)))
     return Representation(glued, field, tuple(gdims), tuple(mats))
 
@@ -765,15 +764,9 @@ def _section(field, dim, kernel_cols: Matrix) -> Matrix:
         return Matrix.identity(field, dim)
     pivots = kernel_cols.transpose().rref()[1]
     free = [k for k in range(dim) if k not in pivots]
-    return Matrix(
-        field,
-        dim,
-        len(free),
-        tuple(
-            tuple(field.one() if r == f else field.zero() for f in free)
-            for r in range(dim)
-        ),
-    )
+    z, o = field.coerce(0), field.coerce(1)
+    return Matrix(field, dim, len(free), tuple(
+        tuple(o if r == f else z for f in free) for r in range(dim)))
 
 
 def glue_restrict_inessential(
@@ -1021,6 +1014,7 @@ def _ext_basis(base, v) -> Matrix:
     """
     q = base.pres.quiver
     field = base.field
+    zero, mod = field.coerce(0), field.modulus
     ins = q.in_arrows(v)
     offsets = {}
     unknowns = 0
@@ -1029,24 +1023,24 @@ def _ext_basis(base, v) -> Matrix:
         unknowns += base.dim(a.source)
     # relations whose words end at v, each word as its unknown top row
     # times the rest of the word
-    constraints = [[(w, field.add)] for w in base.pres.zero_words() if w[0] in offsets]
+    constraints = [[(w, 1)] for w in base.pres.zero_words() if w[0] in offsets]
     constraints += [
-        [(lhs, field.add), (rhs, field.sub)]
+        [(lhs, 1), (rhs, -1)]
         for lhs, rhs in base.pres.commutation_pairs()
         if lhs[0] in offsets
     ]
     rows = []
     for parts in constraints:
         mats = [
-            (offsets[w[0]], path_matrix(base, w[1:], q.arrow(w[0]).source), op)
-            for w, op in parts
+            (offsets[w[0]], path_matrix(base, w[1:], q.arrow(w[0]).source), sign)
+            for w, sign in parts
         ]
         for c in range(mats[0][1].ncols):
-            row = [field.zero()] * unknowns
-            for off, cols, op in mats:
+            row = [zero] * unknowns
+            for off, cols, sign in mats:
                 for r in range(cols.nrows):
-                    row[off + r] = op(row[off + r], cols.rows[r][c])
-            rows.append(tuple(row))
+                    row[off + r] += sign * cols.rows[r][c]
+            rows.append(tuple(x % mod for x in row))
     cocycles = Matrix(field, len(rows), unknowns, tuple(rows)).nullspace()
     span = [sum((base.mat(a.name).rows[t] for a in ins), ()) for t in range(base.dim(v))]
     rank = Matrix(field, len(span), unknowns, tuple(span)).rank()
@@ -1062,7 +1056,7 @@ def _extend(base, v, rvec):
     """The extension of ``base`` by S_v whose new basis vector comes first
     at ``v`` and whose arrows into ``v`` gain the top rows ``rvec``,
     concatenated in arrow order; arrows out of ``v`` kill the new vector."""
-    z = base.field.zero()
+    z = base.field.coerce(0)
     pos = 0
     mats = []
     for a, bm in zip(base.pres.quiver.arrows, base.mats):
@@ -1097,6 +1091,10 @@ def _closure_catalog(pres, field, max_total, budget):
     ``enumerate_indecomposables`` for the pruning rule."""
     if field.size is None:
         raise SearchSpaceTooLarge("extension enumeration needs a finite field")
+    out, head, word = _arrow_graph(pres)
+    _live_graph(out, head, _avoiding(word(w) for w in pres.zero_words()),
+                "closure extends by simple submodules only, so it misses the modules on"
+                " which a cycle of arrows acts non-nilpotently; use method='scan'")
     q = pres.quiver
     catalog = [simple_representation(pres, field, v) for v in q.vertices]
     examined = tested = len(catalog)
@@ -1156,7 +1154,10 @@ def enumerate_indecomposables(
     ``closure`` builds each candidate as an extension of smaller classes
     by a simple submodule, which reaches totals far beyond the scan;
     there ``budget`` caps the independent extension directions.  Both
-    refuse loudly rather than returning a partial catalog.
+    refuse loudly rather than returning a partial catalog.  ``closure``
+    raises NonNilpotentCycle when the zero relations leave an oriented
+    cycle of paths: a module on which such a cycle acts non-nilpotently
+    may have no simple submodule, and closure would miss it silently.
 
     ``examined`` counts the candidates considered: every matrix tuple,
     p^(matrix entries) per dimension vector, for ``scan``; for

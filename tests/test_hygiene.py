@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nodalq"
@@ -60,3 +61,21 @@ def unreferenced_private_definitions(paths) -> list[str]:
 
 def test_no_unreferenced_private_definitions():
     assert unreferenced_private_definitions(sorted(SRC.glob("*.py"))) == []
+
+
+def test_src_imports_only_the_standard_library():
+    # the install promises no dependencies; relative imports stay inside
+    # the package
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{n}" for n in names
+                        if n.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from nodalq import GF, QQ, Matrix, SUPPORTED_PRIMES
 from nodalq.linalg import all_matrices, block_diag
+from util import DispatchMatrix, DispatchPrimeField, DispatchRationalField
 
 
 def test_prime_field_arithmetic():
     f = GF(7)
-    assert f.add(5, 4) == 2
-    assert f.mul(3, 5) == 1
-    assert f.neg(2) == 5
+    assert f.modulus == 7
+    assert (5 + 4) % f.modulus == 2
+    assert 3 * 5 % f.modulus == 1
+    assert -2 % f.modulus == 5
     assert f.inv(3) == 5
     assert f.coerce(-1) == 6
     assert f.size == 7
@@ -23,11 +27,25 @@ def test_prime_field_arithmetic():
     assert set(SUPPORTED_PRIMES) >= {2, 3, 5, 7}
 
 
+def test_prime_field_coerce_is_exact():
+    assert GF(3).coerce(Fraction(1, 2)) == 2
+    assert GF(7).coerce(Fraction(-3, 5)) == 5
+    assert GF(5).coerce(Fraction(-6)) == 4
+    assert GF(2).coerce(3.0) == 1
+    refused = ((GF(2), 1.7), (GF(3), 0.5), (GF(3), Fraction(1, 3)), (GF(7), Fraction(2, 7)))
+    for field, bad in refused:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            field.coerce(bad)
+    assert Matrix.from_rows(GF(3), [[Fraction(1, 2), 2]]).rows == ((2, 2),)
+    with pytest.raises(ValueError, match="0.5"):
+        Matrix.from_rows(GF(3), [[Fraction(1, 2), 0.5]])
+
+
 def test_rational_field_is_exact():
     v = QQ.coerce(1)
-    third = QQ.mul(v, QQ.inv(QQ.coerce(3)))
+    third = v * QQ.inv(QQ.coerce(3)) % QQ.modulus
     assert third == Fraction(1, 3)
-    assert QQ.add(third, third) == Fraction(2, 3)
+    assert (third + third) % QQ.modulus == Fraction(2, 3)
     assert QQ.size is None
 
 
@@ -97,3 +115,66 @@ def test_block_diag_and_enumeration():
     assert d.rows == ((1, 0, 0), (0, 0, 1))
     assert len(list(all_matrices(f, 2, 2))) == 16
     assert len(list(all_matrices(GF(3), 1, 2))) == 9
+
+
+
+def _random_entries(rng, field, nrows, ncols):
+    # zeros are common so that ranks drop and pivots get skipped
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        if field.size:
+            return rng.randrange(field.size)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _outcome(compute):
+    """An operation's result as (shape data, field entries), so that two
+    kernels can be compared and the types of the entries checked."""
+    try:
+        got = compute()
+    except (ValueError, ZeroDivisionError) as e:
+        return (type(e).__name__, str(e)), ()
+    pivots = None
+    if isinstance(got, tuple) and len(got) == 2 and hasattr(got[0], "rows"):
+        got, pivots = got  # rref
+    if hasattr(got, "rows"):
+        return (got.shape, pivots), tuple(x for r in got.rows for x in r)
+    if isinstance(got, tuple):  # nullspace vectors
+        return len(got), tuple(x for v in got for x in v)
+    return got, ()
+
+
+def test_reduction_kernel_matches_dispatch_oracle():
+    rng = random.Random(20260218)
+    fields = [(GF(p), DispatchPrimeField(p)) for p in SUPPORTED_PRIMES]
+    fields.append((QQ, DispatchRationalField()))
+    for field, oracle in fields:
+        for _ in range(150):
+            r, c, k = (rng.randrange(6) for _ in range(3))
+            a, b, sq = (_random_entries(rng, field, r, n) for n in (c, c, r))
+            right, rhs = _random_entries(rng, field, c, k), _random_entries(rng, field, r, k)
+            s = rng.randrange(-7, 15) if field.size else Fraction(rng.randint(-4, 4), 3)
+            results = []
+            for f, cls in ((field, Matrix), (oracle, DispatchMatrix)):
+                def make(rows, n, f=f, cls=cls):
+                    return cls.from_rows(f, rows) if rows else cls.zeros(f, 0, n)
+
+                ma, mb, msq = make(a, c), make(b, c), make(sq, r)
+                mr, mrhs = make(right, k), make(rhs, k)
+                empty = cls.zeros(f, r, 0), cls.zeros(f, 0, k)
+                results.append([_outcome(op) for op in (
+                    lambda: ma + mb, lambda: ma - mb, lambda: ma * mr, lambda: ma.scale(s),
+                    lambda: empty[0] * empty[1], ma.transpose, ma.rref, ma.rank, ma.nullspace,
+                    ma.column_space_basis, lambda: ma.solve(mrhs), ma.inverse, msq.inverse,
+                    ma.is_zero, ma.is_invertible, msq.is_invertible,
+                )])
+            assert results[0] == results[1], (field, a, b, right, rhs, s, sq)
+            for _, entries in results[0]:
+                for x in entries:
+                    if field.size:
+                        assert type(x) is int and 0 <= x < field.size, (field, x)
+                    else:
+                        assert type(x) is Fraction, (field, x)

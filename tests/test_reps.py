@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from nodalq import (
     Matrix,
     Morphism,
     NodalDatum,
+    NonNilpotentCycle,
     Quiver,
     Representation,
     SearchSpaceTooLarge,
@@ -131,6 +133,15 @@ def test_morphism_algebra():
     hom = hom_space(p, p)
     doubled = combine_morphisms(hom, [2])
     assert doubled.blocks[0].rows == ((2,),)
+
+
+def test_combine_morphisms_coerces_coefficients_exactly():
+    p = make_representation(A2, F3, {"v0": 1, "v1": 1}, {"va0": [[1]]})
+    hom = hom_space(p, p)
+    # 1/2 is 2 in GF(3), and 1/3 has no residue there
+    assert combine_morphisms(hom, [Fraction(1, 2)]).blocks[0].rows == ((2,),)
+    with pytest.raises(ValueError, match=r"Fraction\(1, 3\)"):
+        combine_morphisms(hom, [Fraction(1, 3)])
 
 
 def test_simple_summand_detection():
@@ -437,6 +448,15 @@ def test_closure_pruning_matches_unpruned_oracle():
         for c in got.classes:
             matches = [w for w in want if w.dims == c.dims and has_summand(w, c)]
             assert len(matches) == 1, c.dims
+
+
+def test_closure_refuses_a_cycle_that_need_not_act_nilpotently():
+    # one free loop: the loop acting by 1, and the GF(4) point at bound 2,
+    # have no simple submodule, so closure cannot build them
+    free_loop = hereditary(Quiver(("1",), (Arrow("x", "1", "1"),)))
+    with pytest.raises(NonNilpotentCycle, match="closure.*method='scan'"):
+        enumerate_indecomposables(free_loop, F2, 2, method="closure")
+    assert enumerate_indecomposables(free_loop, F2, 2, method="scan").count == 5
 
 
 def test_closure_counts_tested_candidates():

@@ -15,12 +15,17 @@ nonzero extension class of every direct sum of smaller classes.  The
 scan oracle builds every matrix tuple of every dimension vector.  Both
 decide each candidate by probing every smaller class as a summand, never
 by the End-ring certificate the enumerators under test use.
+The dispatch oracle is the field kernel that the single reduction rule
+of ``nodalq.linalg`` replaced: field objects with per-element method
+tables, called entry by entry.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 
 from nodalq import (
     Arrow,
@@ -36,7 +41,7 @@ from nodalq import (
     Representation,
     SearchSpaceTooLarge,
 )
-from nodalq.linalg import all_matrices
+from nodalq.linalg import SUPPORTED_PRIMES, all_matrices
 from nodalq.reps import (
     ShapeMismatch,
     _compositions,
@@ -559,6 +564,7 @@ def extension_candidates(pres, field, base, v, budget):
         offsets.append(pos)
         pos += wdt
     slot = {a.name: k for k, a in enumerate(ins)}
+    zero, mod = field.coerce(0), field.modulus
 
     rows = []
 
@@ -581,14 +587,14 @@ def extension_candidates(pres, field, base, v, budget):
     for parts in constraints:
         width_cols = parts[0][1].ncols
         for c in range(width_cols):
-            row = [field.zero()] * unknowns
+            row = [zero] * unknowns
             for k, cols, sign in parts:
                 for r in range(cols.nrows):
                     idx = offsets[k] + r
                     term = cols.rows[r][c]
                     if sign < 0:
-                        term = field.neg(term)
-                    row[idx] = field.add(row[idx], term)
+                        term = -term
+                    row[idx] = (row[idx] + term) % mod
             rows.append(tuple(row))
     system = Matrix(field, len(rows), unknowns, tuple(rows))
     cocycles = system.nullspace()
@@ -596,7 +602,7 @@ def extension_candidates(pres, field, base, v, budget):
     cobounds = []
     dv = base.dim(v)
     for t in range(dv):
-        vec = [field.zero()] * unknowns
+        vec = [zero] * unknowns
         for k, a in enumerate(ins):
             mat = base.mat(a.name)
             for c in range(mat.ncols):
@@ -612,13 +618,13 @@ def extension_candidates(pres, field, base, v, budget):
     for z in cocycles:
         cur = list(z)
         for row in basis_rows + ext_basis:
-            pc = next((c for c, x in enumerate(row) if x != field.zero()), None)
-            if pc is not None and cur[pc] != field.zero():
-                factor = field.mul(cur[pc], field.inv(row[pc]))
+            pc = next((c for c, x in enumerate(row) if x != zero), None)
+            if pc is not None and cur[pc] != zero:
+                factor = cur[pc] * field.inv(row[pc]) % mod
                 cur = [
-                    field.sub(x, field.mul(factor, y)) for x, y in zip(cur, row)
+                    (x - factor * y) % mod for x, y in zip(cur, row)
                 ]
-        if any(x != field.zero() for x in cur):
+        if any(x != zero for x in cur):
             ext_basis.append(tuple(cur))
     if len(ext_basis) > budget:
         raise BudgetExceeded(
@@ -630,23 +636,23 @@ def extension_candidates(pres, field, base, v, budget):
     vi = q.vertices.index(v)
     new_dims = tuple(d + 1 if k == vi else d for k, d in enumerate(base.dims))
     for coeffs in itertools.product(field.elements(), repeat=len(ext_basis)):
-        if all(c == field.zero() for c in coeffs):
+        if all(c == zero for c in coeffs):
             continue
-        rvec = [field.zero()] * unknowns
+        rvec = [zero] * unknowns
         for c, bvec in zip(coeffs, ext_basis):
-            if c != field.zero():
+            if c != zero:
                 rvec = [
-                    field.add(x, field.mul(c, y)) for x, y in zip(rvec, bvec)
+                    (x + c * y) % mod for x, y in zip(rvec, bvec)
                 ]
         mats = []
         for a, bm in zip(q.arrows, base.mats):
             if a.target == v and a.source == v:
                 k = slot[a.name]
-                top = (field.zero(),) + tuple(
+                top = (zero,) + tuple(
                     rvec[offsets[k] + c] for c in range(widths[k])
                 )
                 body = tuple(
-                    (field.zero(),) + bm.rows[r] for r in range(bm.nrows)
+                    (zero,) + bm.rows[r] for r in range(bm.nrows)
                 )
                 mats.append(Matrix(field, bm.nrows + 1, bm.ncols + 1, (top,) + body))
             elif a.target == v:
@@ -657,7 +663,7 @@ def extension_candidates(pres, field, base, v, budget):
                 )
             elif a.source == v:
                 body = tuple(
-                    (field.zero(),) + bm.rows[r] for r in range(bm.nrows)
+                    (zero,) + bm.rows[r] for r in range(bm.nrows)
                 )
                 mats.append(Matrix(field, bm.nrows, bm.ncols + 1, body))
             else:
@@ -729,3 +735,295 @@ def scan_catalog(pres, field, max_total, budget):
                     found_here.append(m)
             catalog.extend(found_here)
     return catalog, examined
+
+
+# ---------------------------------------------------------------------------
+# the dispatch oracle: the field kernel before the single reduction rule,
+# kept with only its names changed.  Field objects carry per-element method
+# tables, and the matrix calls them entry by entry.
+
+@dataclass(frozen=True)
+class DispatchPrimeField:
+    p: int
+
+    def __post_init__(self) -> None:
+        if self.p not in SUPPORTED_PRIMES:
+            raise ValueError(f"characteristic must be one of {SUPPORTED_PRIMES}, got {self.p}")
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def coerce(self, x):
+        return int(x) % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def inv(self, a):
+        if a % self.p == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, self.p - 2, self.p)
+
+    @property
+    def size(self):
+        return self.p
+
+    def elements(self):
+        return tuple(range(self.p))
+
+    def __repr__(self) -> str:
+        return f"GF({self.p})"
+
+
+@dataclass(frozen=True)
+class DispatchRationalField:
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def coerce(self, x):
+        return Fraction(x)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return 1 / Fraction(a)
+
+    @property
+    def size(self):
+        return None  # infinite
+
+    def __repr__(self) -> str:
+        return "QQ"
+
+
+@dataclass(frozen=True)
+class DispatchMatrix:
+    field: object
+    nrows: int
+    ncols: int
+    rows: tuple  # tuple of row tuples; empty dims give empty structure
+
+    @staticmethod
+    def from_rows(field, rows: Sequence[Sequence]) -> "DispatchMatrix":
+        coerced = tuple(tuple(field.coerce(x) for x in r) for r in rows)
+        nrows = len(coerced)
+        ncols = len(coerced[0]) if nrows else 0
+        for r in coerced:
+            if len(r) != ncols:
+                raise ValueError("ragged rows")
+        return DispatchMatrix(field, nrows, ncols, coerced)
+
+    @staticmethod
+    def zeros(field, nrows: int, ncols: int) -> "DispatchMatrix":
+        z = field.zero()
+        return DispatchMatrix(field, nrows, ncols, tuple((z,) * ncols for _ in range(nrows)))
+
+    @staticmethod
+    def identity(field, n: int) -> "DispatchMatrix":
+        z, o = field.zero(), field.one()
+        return DispatchMatrix(
+            field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+        )
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.nrows, self.ncols)
+
+    def __add__(self, other: "DispatchMatrix") -> "DispatchMatrix":
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        f = self.field
+        return DispatchMatrix(
+            f,
+            self.nrows,
+            self.ncols,
+            tuple(
+                tuple(f.add(a, b) for a, b in zip(r1, r2))
+                for r1, r2 in zip(self.rows, other.rows)
+            ),
+        )
+
+    def __sub__(self, other: "DispatchMatrix") -> "DispatchMatrix":
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        f = self.field
+        return DispatchMatrix(
+            f,
+            self.nrows,
+            self.ncols,
+            tuple(
+                tuple(f.sub(a, b) for a, b in zip(r1, r2))
+                for r1, r2 in zip(self.rows, other.rows)
+            ),
+        )
+
+    def __mul__(self, other: "DispatchMatrix") -> "DispatchMatrix":
+        if self.ncols != other.nrows:
+            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
+        f = self.field
+        z = f.zero()
+        out = []
+        for i in range(self.nrows):
+            ri = self.rows[i]
+            row = []
+            for j in range(other.ncols):
+                s = z
+                for k in range(self.ncols):
+                    s = f.add(s, f.mul(ri[k], other.rows[k][j]))
+                row.append(s)
+            out.append(tuple(row))
+        return DispatchMatrix(f, self.nrows, other.ncols, tuple(out))
+
+    def scale(self, c) -> "DispatchMatrix":
+        f = self.field
+        c = f.coerce(c)
+        return DispatchMatrix(
+            f, self.nrows, self.ncols, tuple(tuple(f.mul(c, x) for x in r) for r in self.rows)
+        )
+
+    def transpose(self) -> "DispatchMatrix":
+        return DispatchMatrix(
+            self.field,
+            self.ncols,
+            self.nrows,
+            tuple(tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.ncols)),
+        )
+
+    def is_zero(self) -> bool:
+        z = self.field.zero()
+        return all(x == z for r in self.rows for x in r)
+
+    def hstack(self, other: "DispatchMatrix") -> "DispatchMatrix":
+        if self.nrows != other.nrows:
+            raise ValueError("row count mismatch")
+        return DispatchMatrix(
+            self.field,
+            self.nrows,
+            self.ncols + other.ncols,
+            tuple(r1 + r2 for r1, r2 in zip(self.rows, other.rows)),
+        )
+
+    def vstack(self, other: "DispatchMatrix") -> "DispatchMatrix":
+        if self.ncols != other.ncols:
+            raise ValueError("column count mismatch")
+        return DispatchMatrix(self.field, self.nrows + other.nrows, self.ncols, self.rows + other.rows)
+
+    def rref(self) -> tuple["DispatchMatrix", tuple[int, ...]]:
+        """Reduced row echelon form and pivot column indices."""
+        f = self.field
+        z = f.zero()
+        rows = [list(r) for r in self.rows]
+        pivots = []
+        pr = 0
+        for pc in range(self.ncols):
+            sel = None
+            for r in range(pr, len(rows)):
+                if rows[r][pc] != z:
+                    sel = r
+                    break
+            if sel is None:
+                continue
+            rows[pr], rows[sel] = rows[sel], rows[pr]
+            inv = f.inv(rows[pr][pc])
+            rows[pr] = [f.mul(inv, x) for x in rows[pr]]
+            for r in range(len(rows)):
+                if r != pr and rows[r][pc] != z:
+                    c = rows[r][pc]
+                    rows[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[r], rows[pr])]
+            pivots.append(pc)
+            pr += 1
+            if pr == len(rows):
+                break
+        return DispatchMatrix(f, self.nrows, self.ncols, tuple(tuple(r) for r in rows)), tuple(pivots)
+
+    def rank(self) -> int:
+        return len(self.rref()[1])
+
+    def nullspace(self) -> tuple[tuple, ...]:
+        """Basis of the right kernel, one vector per free column.
+
+        The basis is in echelon convention: vector ``t`` has a one in
+        the ``t``-th free column and zeros in the other free columns.
+        """
+        f = self.field
+        R, pivots = self.rref()
+        free = [c for c in range(self.ncols) if c not in pivots]
+        basis = []
+        for fc in free:
+            v = [f.zero()] * self.ncols
+            v[fc] = f.one()
+            for r, pc in enumerate(pivots):
+                v[pc] = f.neg(R.rows[r][fc])
+            basis.append(tuple(v))
+        return tuple(basis)
+
+    def column_space_basis(self) -> "DispatchMatrix":
+        """DispatchMatrix whose columns are the pivot columns (echelon convention)."""
+        # row space of the transpose = column space; its pivot rows give
+        # an echelon basis
+        R, piv = self.transpose().rref()
+        rows = [R.rows[i] for i in range(len(piv))]
+        if not rows:
+            return DispatchMatrix.zeros(self.field, self.nrows, 0)
+        return DispatchMatrix(self.field, len(rows), self.nrows, tuple(rows)).transpose()
+
+    def solve(self, b: "DispatchMatrix"):
+        """One solution ``x`` of ``self @ x = b`` or None (column-wise)."""
+        if b.nrows != self.nrows:
+            raise ValueError("shape mismatch in solve")
+        f = self.field
+        aug = self.hstack(b)
+        R, pivots = aug.rref()
+        n = self.ncols
+        # inconsistent if a pivot lands in the b-part
+        for pc in pivots:
+            if pc >= n:
+                return None
+        z = f.zero()
+        cols = []
+        for j in range(b.ncols):
+            x = [z] * n
+            for r, pc in enumerate(pivots):
+                x[pc] = R.rows[r][n + j]
+            cols.append(x)
+        return DispatchMatrix(f, b.ncols, n, tuple(tuple(c) for c in cols)).transpose()
+
+    def is_invertible(self) -> bool:
+        return self.nrows == self.ncols and self.rank() == self.nrows
+
+    def inverse(self) -> "DispatchMatrix":
+        if self.nrows != self.ncols:
+            raise ValueError("inverse of non-square matrix")
+        aug = self.hstack(DispatchMatrix.identity(self.field, self.nrows))
+        R, pivots = aug.rref()
+        if len(pivots) != self.nrows or any(p >= self.nrows for p in pivots):
+            raise ValueError("matrix is singular")
+        rows = tuple(r[self.nrows:] for r in R.rows)
+        return DispatchMatrix(self.field, self.nrows, self.nrows, rows)
