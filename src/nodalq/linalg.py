@@ -40,8 +40,11 @@ class PrimeField:
         """The residue of an integral value, or of a fraction a/b with p
         not dividing b, which is a times the inverse of b; anything else
         has no residue and raises ValueError."""
-        if x == int(x):
-            return int(x) % self.p
+        try:
+            if x == int(x):
+                return int(x) % self.p
+        except (TypeError, ValueError, OverflowError):
+            pass
         if isinstance(x, Fraction) and x.denominator % self.p:
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         raise ValueError(f"{x!r} has no residue in {self}")
@@ -98,6 +101,15 @@ def GF(p: int) -> PrimeField:
 
 @dataclass(frozen=True)
 class Matrix:
+    """An immutable matrix over ``field``, stored as a tuple of row tuples.
+
+    The dataclass constructor takes its entries unchecked, because every
+    kernel operation builds its result through it; they must already be
+    residues (ints in ``range(p)`` over GF(p), ``Fraction``s over QQ).
+    ``Matrix(GF(2), 1, 1, ((2,),)).rank()`` raises ZeroDivisionError.
+    ``from_rows`` is the checked entry point for outside values.
+    """
+
     field: object
     nrows: int
     ncols: int
@@ -180,32 +192,48 @@ class Matrix:
             raise ValueError("column count mismatch")
         return Matrix(self.field, self.nrows + other.nrows, self.ncols, self.rows + other.rows)
 
+    def _reduced(self) -> dict:
+        """The reduced echelon rows, keyed by their pivot columns.
+
+        Rows are eliminated one at a time against the reduced echelon
+        rows kept so far: a row that reduces to zero is dropped, a new
+        pivot row clears its column in the rows kept before it.  The
+        reduced echelon form is unique, so the order of the rows does
+        not change the result.
+        """
+        f = self.field
+        m, n = f.modulus, self.ncols
+        reduced = {}  # pivot column -> reduced echelon row with a one there
+        for row in self.rows:
+            for pc, top in reduced.items():
+                c = row[pc]
+                if c:
+                    row = [(x - c * y) % m for x, y in zip(row, top)]
+            for pc, lead in enumerate(row):
+                if lead:
+                    break
+            else:
+                continue  # the row reduced to zero
+            if lead != 1:
+                inv = f.inv(lead)
+                row = [inv * x % m for x in row]
+            for k, other in reduced.items():
+                c = other[pc]
+                if c:
+                    reduced[k] = [(x - c * y) % m for x, y in zip(other, row)]
+            reduced[pc] = row
+            if len(reduced) == n:
+                break  # every later row reduces to zero
+        return reduced
+
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and pivot column indices."""
-        m = self.field.modulus
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        pr = 0
-        for pc in range(self.ncols):
-            sel = None
-            for r in range(pr, len(rows)):
-                if rows[r][pc]:
-                    sel = r
-                    break
-            if sel is None:
-                continue
-            rows[pr], rows[sel] = rows[sel], rows[pr]
-            inv = self.field.inv(rows[pr][pc])
-            top = rows[pr] = [inv * x % m for x in rows[pr]]
-            for r, row in enumerate(rows):
-                c = row[pc]
-                if c and r != pr:
-                    rows[r] = [(x - c * y) % m for x, y in zip(row, top)]
-            pivots.append(pc)
-            pr += 1
-            if pr == len(rows):
-                break
-        return Matrix(self.field, self.nrows, self.ncols, tuple(map(tuple, rows))), tuple(pivots)
+        reduced = self._reduced()
+        pivots = tuple(sorted(reduced))
+        zero = (self.field.coerce(0),) * self.ncols
+        rows = tuple([tuple(reduced[pc]) for pc in pivots])
+        rows += (zero,) * (self.nrows - len(rows))
+        return Matrix(self.field, self.nrows, self.ncols, rows), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -216,17 +244,19 @@ class Matrix:
         The basis is in echelon convention: vector ``t`` has a one in
         the ``t``-th free column and zeros in the other free columns.
         """
-        f = self.field
+        f, n = self.field, self.ncols
+        reduced = self._reduced()
+        if len(reduced) == n:
+            return ()
         z, o, m = f.coerce(0), f.coerce(1), f.modulus
-        R, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
         basis = []
-        for fc in free:
-            v = [z] * self.ncols
-            v[fc] = o
-            for r, pc in enumerate(pivots):
-                v[pc] = -R.rows[r][fc] % m
-            basis.append(tuple(v))
+        for fc in range(n):
+            if fc not in reduced:
+                v = [z] * n
+                v[fc] = o
+                for pc, top in reduced.items():
+                    v[pc] = -top[fc] % m
+                basis.append(tuple(v))
         return tuple(basis)
 
     def column_space_basis(self) -> "Matrix":

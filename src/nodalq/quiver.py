@@ -13,7 +13,7 @@ commutation relations (two parallel paths are declared equal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 
@@ -38,41 +38,54 @@ class Arrow:
 
 @dataclass(frozen=True)
 class Quiver:
+    """Vertices and arrows, with the positions that validating them finds:
+    ``vertex_index`` and ``arrow_index`` map names to positions (two maps,
+    because a vertex and an arrow may share a name), and ``arrow_ends``
+    holds the (source, target) vertex positions of each arrow."""
+
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
+    vertex_index: dict = field(init=False, repr=False, compare=False)
+    arrow_index: dict = field(init=False, repr=False, compare=False)
+    arrow_ends: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen_v = set()
-        for v in self.vertices:
-            if v in seen_v:
+        at: dict[str, int] = {}
+        for k, v in enumerate(self.vertices):
+            if v in at:
                 raise QuiverError(f"duplicate vertex id {v!r}")
-            seen_v.add(v)
-        seen_a = set()
-        for a in self.arrows:
-            if a.name in seen_a:
+            at[v] = k
+        named: dict[str, int] = {}
+        ends = []
+        for k, a in enumerate(self.arrows):
+            if a.name in named:
                 raise QuiverError(f"duplicate arrow id {a.name!r}")
-            seen_a.add(a.name)
-            if a.source not in seen_v:
+            named[a.name] = k
+            if a.source not in at:
                 raise UnknownVertex(f"arrow {a.name!r}: unknown source {a.source!r}")
-            if a.target not in seen_v:
+            if a.target not in at:
                 raise UnknownVertex(f"arrow {a.name!r}: unknown target {a.target!r}")
+            ends.append((at[a.source], at[a.target]))
+        object.__setattr__(self, "vertex_index", at)
+        object.__setattr__(self, "arrow_index", named)
+        object.__setattr__(self, "arrow_ends", tuple(ends))
 
     def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise QuiverError(f"unknown arrow {name!r}")
+        k = self.arrow_index.get(name)
+        if k is None:
+            raise QuiverError(f"unknown arrow {name!r}")
+        return self.arrows[k]
 
     def has_vertex(self, v: str) -> bool:
-        return v in self.vertices
+        return v in self.vertex_index
 
     def in_arrows(self, v: str) -> tuple[Arrow, ...]:
-        if v not in self.vertices:
+        if v not in self.vertex_index:
             raise UnknownVertex(f"unknown vertex {v!r}")
         return tuple(a for a in self.arrows if a.target == v)
 
     def out_arrows(self, v: str) -> tuple[Arrow, ...]:
-        if v not in self.vertices:
+        if v not in self.vertex_index:
             raise UnknownVertex(f"unknown vertex {v!r}")
         return tuple(a for a in self.arrows if a.source == v)
 
@@ -143,7 +156,7 @@ class Path:
         if not self.arrows:
             if self.base is None:
                 raise QuiverError("empty path needs a base vertex")
-            if self.base not in self.quiver.vertices:
+            if self.base not in self.quiver.vertex_index:
                 raise UnknownVertex(f"unknown vertex {self.base!r}")
             return
         objs = [self.quiver.arrow(n) for n in self.arrows]

@@ -88,23 +88,26 @@ class Representation:
             raise ShapeMismatch("dimensions must be nonnegative")
         if len(self.mats) != len(q.arrows):
             raise ShapeMismatch("one matrix per arrow required")
-        for a, m in zip(q.arrows, self.mats):
+        for a, (si, ti), m in zip(q.arrows, q.arrow_ends, self.mats):
             if m.field != self.field:
                 raise ShapeMismatch(f"matrix of {a.name!r} is over the wrong field")
-            want = (self.dim(a.target), self.dim(a.source))
+            want = (self.dims[ti], self.dims[si])
             if m.shape != want:
                 raise ShapeMismatch(
                     f"matrix of {a.name!r} has shape {m.shape}, expected {want}"
                 )
 
     def dim(self, v: str) -> int:
-        return self.dims[self.pres.quiver.vertices.index(v)]
+        k = self.pres.quiver.vertex_index.get(v)
+        if k is None:
+            raise ValueError(f"no vertex named {v!r}")
+        return self.dims[k]
 
     def mat(self, name: str) -> Matrix:
-        for a, m in zip(self.pres.quiver.arrows, self.mats):
-            if a.name == name:
-                return m
-        raise KeyError(f"no arrow named {name!r}")
+        k = self.pres.quiver.arrow_index.get(name)
+        if k is None:
+            raise KeyError(f"no arrow named {name!r}")
+        return self.mats[k]
 
     @property
     def total(self) -> int:
@@ -132,8 +135,8 @@ def make_representation(pres: Presentation, field, dims, mats) -> Representation
     q = pres.quiver
     dt = tuple(dims.get(v, 0) for v in q.vertices)
 
-    def lookup(a):
-        nr, nc = dt[q.vertices.index(a.target)], dt[q.vertices.index(a.source)]
+    def lookup(a, si, ti):
+        nr, nc = dt[ti], dt[si]
         got = mats.get(a.name)
         if got is None:
             return Matrix.zeros(field, nr, nc)
@@ -144,7 +147,8 @@ def make_representation(pres: Presentation, field, dims, mats) -> Representation
             return Matrix.zeros(field, nr, nc)
         return Matrix.from_rows(field, got)
 
-    return Representation(pres, field, dt, tuple(lookup(a) for a in q.arrows))
+    return Representation(
+        pres, field, dt, tuple(lookup(a, *ends) for a, ends in zip(q.arrows, q.arrow_ends)))
 
 
 def zero_representation(pres: Presentation, field) -> Representation:
@@ -203,7 +207,10 @@ class Morphism:
     blocks: tuple[Matrix, ...]
 
     def block(self, v: str) -> Matrix:
-        return self.blocks[self.source.pres.quiver.vertices.index(v)]
+        k = self.source.pres.quiver.vertex_index.get(v)
+        if k is None:
+            raise ValueError(f"no vertex named {v!r}")
+        return self.blocks[k]
 
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.blocks)
@@ -257,7 +264,13 @@ def combine_morphisms(hom: HomSpace, coeffs) -> Morphism:
 
 
 def hom_space(m: Representation, n: Representation) -> HomSpace:
-    """Solve the intertwining equations f.mat(a) = mat(a).f exactly."""
+    """Solve the intertwining equations f.mat(a) = mat(a).f exactly.
+
+    The unknowns are the entries of the blocks f_v, row by row, block
+    after block.  The equation at entry (i, j) of arrow a: s -> t reads
+    (row i of f_t) . (column j of m.mat(a)) = (row i of n.mat(a)) .
+    (column j of f_s), so its row holds one slice of each side.
+    """
     if m.pres != n.pres or m.field != n.field:
         raise ShapeMismatch("hom spaces need a common presentation and field")
     q = m.pres.quiver
@@ -265,39 +278,36 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
     z, mod = field.coerce(0), field.modulus
     offsets = []
     pos = 0
-    for v in q.vertices:
+    for nd, md in zip(n.dims, m.dims):
         offsets.append(pos)
-        pos += n.dim(v) * m.dim(v)
-    unknowns = pos
-
-    def uidx(vi, i, j):
-        return offsets[vi] + i * m.dims[vi] + j
-
+        pos += nd * md
+    zero = [z] * pos
     rows = []
-    for a in q.arrows:
-        si = q.vertices.index(a.source)
-        ti = q.vertices.index(a.target)
-        ma, na = m.mat(a.name), n.mat(a.name)
-        for i in range(n.dims[ti]):
-            for j in range(m.dims[si]):
-                row = [z] * unknowns
-                for k in range(m.dims[ti]):
-                    row[uidx(ti, i, k)] = ma.rows[k][j]
-                for k in range(n.dims[si]):
-                    col = uidx(si, k, j)
-                    row[col] = (row[col] - na.rows[i][k]) % mod
+    for (si, ti), ma, na in zip(q.arrow_ends, m.mats, n.mats):
+        ms, mt, ns = m.dims[si], m.dims[ti], n.dims[si]
+        cols = list(zip(*ma.rows)) if mt else [()] * ms
+        ft, fs = offsets[ti], offsets[si]
+        for i, nrow in enumerate(na.rows):
+            neg = [-x % mod for x in nrow]
+            start = ft + i * mt
+            for j, col in enumerate(cols):
+                row = zero[:]
+                row[start:start + mt] = col
+                if si == ti:  # a loop: both sides meet in f_s
+                    for k, x in enumerate(neg):
+                        c = fs + k * ms + j
+                        row[c] = (row[c] + x) % mod
+                else:
+                    row[fs + j:fs + j + ns * ms:ms] = neg
                 rows.append(tuple(row))
-    system = Matrix(field, len(rows), unknowns, tuple(rows))
+    system = Matrix(field, len(rows), pos, tuple(rows))
     basis = []
     for vec in system.nullspace():
-        blocks = []
-        for vi, v in enumerate(q.vertices):
-            nd, md = n.dims[vi], m.dims[vi]
-            block_rows = tuple(
-                tuple(vec[uidx(vi, i, j)] for j in range(md)) for i in range(nd)
-            )
-            blocks.append(Matrix(field, nd, md, block_rows))
-        basis.append(Morphism(m, n, tuple(blocks)))
+        blocks = tuple([
+            Matrix(field, nd, md, tuple([vec[o + i * md:o + i * md + md] for i in range(nd)]))
+            for o, nd, md in zip(offsets, n.dims, m.dims)
+        ])
+        basis.append(Morphism(m, n, blocks))
     return HomSpace(m, n, tuple(basis))
 
 
@@ -392,9 +402,7 @@ def split_summand(m: Representation, u: Representation):
         bases.append(_columns_matrix(field, m.dims[vi], vecs))
     dims = tuple(b.ncols for b in bases)
     mats = []
-    for a, ma in zip(q.arrows, m.mats):
-        si = q.vertices.index(a.source)
-        ti = q.vertices.index(a.target)
+    for (si, ti), ma in zip(q.arrow_ends, m.mats):
         restricted = bases[ti].solve(ma * bases[si])
         if restricted is None:
             raise RuntimeError("idempotent complement is not arrow-stable")
@@ -950,13 +958,10 @@ def _scan_catalog(pres, field, max_total, budget):
     if field.size is None:
         raise SearchSpaceTooLarge("exhaustive scans need a finite field")
     q = pres.quiver
-    ends = [
-        (q.vertices.index(a.source), q.vertices.index(a.target)) for a in q.arrows
-    ]
-    position = {a.name: k for k, a in enumerate(q.arrows)}
+    ends = q.arrow_ends
 
     def positions(word):
-        return tuple(position[a] for a in word)
+        return tuple(q.arrow_index[a] for a in word)
 
     relations = [(positions(w), None) for w in pres.zero_words()]
     relations += [

@@ -79,3 +79,31 @@ def test_src_imports_only_the_standard_library():
             outside += [f"{path.name}:{n}" for n in names
                         if n.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def linear_lookups(path: Path) -> list[str]:
+    """Places in ``path`` that find a position by scanning the quiver:
+    ``vertices.index(`` calls, and loops or comprehensions over some
+    ``.arrows`` that test an arrow's ``.name`` for equality."""
+    text = path.read_text(encoding="utf-8")
+    found = [f"line {k}: vertices.index(" for k, line in enumerate(text.splitlines(), 1)
+             if "vertices.index(" in line]
+    tree = ast.parse(text, filename=str(path))
+    scans = [(node.iter, node.body) for node in ast.walk(tree)
+             if isinstance(node, (ast.For, ast.AsyncFor))]
+    scans += [(gen.iter, gen.ifs) for gen in ast.walk(tree) if isinstance(gen, ast.comprehension)]
+    for over, tests in scans:
+        if not any(isinstance(n, ast.Attribute) and n.attr == "arrows" for n in ast.walk(over)):
+            continue
+        for n in (n for t in tests for n in ast.walk(t)):
+            if isinstance(n, ast.Compare) and any(
+                    isinstance(op, (ast.Eq, ast.NotEq)) for op in n.ops) and any(
+                    isinstance(side, ast.Attribute) and side.attr == "name"
+                    for side in (n.left, *n.comparators)):
+                found.append(f"line {n.lineno}: a scan of arrows for a name")
+    return found
+
+
+def test_reps_uses_quiver_index_maps():
+    # positions come from Quiver.vertex_index, arrow_index and arrow_ends
+    assert linear_lookups(SRC / "reps.py") == []

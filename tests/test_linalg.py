@@ -41,6 +41,15 @@ def test_prime_field_coerce_is_exact():
         Matrix.from_rows(GF(3), [[Fraction(1, 2), 0.5]])
 
 
+def test_prime_field_coerce_refuses_with_value_error_only():
+    # int() of these raises OverflowError, TypeError or ValueError; the
+    # field turns each into one ValueError that names it
+    for p in SUPPORTED_PRIMES:
+        for bad in (float("inf"), float("-inf"), float("nan"), None, "a", "1", [1], object()):
+            with pytest.raises(ValueError, match=re.escape(f"has no residue in GF({p})")):
+                GF(p).coerce(bad)
+
+
 def test_rational_field_is_exact():
     v = QQ.coerce(1)
     third = v * QQ.inv(QQ.coerce(3)) % QQ.modulus
@@ -147,34 +156,64 @@ def _outcome(compute):
     return got, ()
 
 
+def _low_rank_entries(rng, field, nrows, ncols):
+    """Entries of rank below min(nrows, ncols) where that is positive: a
+    product of thin random factors, with some rows zeroed."""
+    inner = rng.randrange(max(1, min(nrows, ncols)))
+    left = _random_entries(rng, field, nrows, inner)
+    right = _random_entries(rng, field, inner, ncols)
+    rows = [[sum((x * y for x, y in zip(row, col)), 0) for col in zip(*right)] if right
+             else [0] * ncols for row in left]
+    for row in rows:
+        if rng.random() < 0.3:
+            row[:] = [0] * ncols
+    return rows
+
+
+def _assert_kernels_agree(rng, field, oracle, first):
+    """Every ``Matrix`` operation gives the dispatch oracle's result on
+    random operands, the first of them drawn by ``first``."""
+    r, c, k = (rng.randrange(6) for _ in range(3))
+    a = first(rng, field, r, c)
+    b, sq = (_random_entries(rng, field, r, n) for n in (c, r))
+    right, rhs = _random_entries(rng, field, c, k), _random_entries(rng, field, r, k)
+    s = rng.randrange(-7, 15) if field.size else Fraction(rng.randint(-4, 4), 3)
+    results = []
+    for f, cls in ((field, Matrix), (oracle, DispatchMatrix)):
+        def make(rows, n, f=f, cls=cls):
+            return cls.from_rows(f, rows) if rows else cls.zeros(f, 0, n)
+
+        ma, mb, msq = make(a, c), make(b, c), make(sq, r)
+        mr, mrhs = make(right, k), make(rhs, k)
+        empty = cls.zeros(f, r, 0), cls.zeros(f, 0, k)
+        results.append([_outcome(op) for op in (
+            lambda: ma + mb, lambda: ma - mb, lambda: ma * mr, lambda: ma.scale(s),
+            lambda: empty[0] * empty[1], ma.transpose, ma.rref, ma.rank, ma.nullspace,
+            ma.column_space_basis, lambda: ma.solve(mrhs), ma.inverse, msq.inverse,
+            ma.is_zero, ma.is_invertible, msq.is_invertible,
+        )])
+    assert results[0] == results[1], (field, a, b, right, rhs, s, sq)
+    for _, entries in results[0]:
+        for x in entries:
+            if field.size:
+                assert type(x) is int and 0 <= x < field.size, (field, x)
+            else:
+                assert type(x) is Fraction, (field, x)
+    return a
+
+
 def test_reduction_kernel_matches_dispatch_oracle():
     rng = random.Random(20260218)
     fields = [(GF(p), DispatchPrimeField(p)) for p in SUPPORTED_PRIMES]
     fields.append((QQ, DispatchRationalField()))
     for field, oracle in fields:
         for _ in range(150):
-            r, c, k = (rng.randrange(6) for _ in range(3))
-            a, b, sq = (_random_entries(rng, field, r, n) for n in (c, c, r))
-            right, rhs = _random_entries(rng, field, c, k), _random_entries(rng, field, r, k)
-            s = rng.randrange(-7, 15) if field.size else Fraction(rng.randint(-4, 4), 3)
-            results = []
-            for f, cls in ((field, Matrix), (oracle, DispatchMatrix)):
-                def make(rows, n, f=f, cls=cls):
-                    return cls.from_rows(f, rows) if rows else cls.zeros(f, 0, n)
-
-                ma, mb, msq = make(a, c), make(b, c), make(sq, r)
-                mr, mrhs = make(right, k), make(rhs, k)
-                empty = cls.zeros(f, r, 0), cls.zeros(f, 0, k)
-                results.append([_outcome(op) for op in (
-                    lambda: ma + mb, lambda: ma - mb, lambda: ma * mr, lambda: ma.scale(s),
-                    lambda: empty[0] * empty[1], ma.transpose, ma.rref, ma.rank, ma.nullspace,
-                    ma.column_space_basis, lambda: ma.solve(mrhs), ma.inverse, msq.inverse,
-                    ma.is_zero, ma.is_invertible, msq.is_invertible,
-                )])
-            assert results[0] == results[1], (field, a, b, right, rhs, s, sq)
-            for _, entries in results[0]:
-                for x in entries:
-                    if field.size:
-                        assert type(x) is int and 0 <= x < field.size, (field, x)
-                    else:
-                        assert type(x) is Fraction, (field, x)
+            _assert_kernels_agree(rng, field, oracle, _random_entries)
+    # low rank: rows that reduce to zero, and pivots that later rows
+    # reduce back
+    dropped = 0
+    for field, oracle in fields:
+        for _ in range(150):
+            a = _assert_kernels_agree(rng, field, oracle, _low_rank_entries)
+            dropped += bool(a) and Matrix.from_rows(field, a).rank() < min(len(a), len(a[0]))
+    assert dropped > 300, dropped

@@ -46,10 +46,12 @@ from nodalq import (
 )
 
 from nodalq.linalg import all_matrices, block_diag, rank_forms, similarity_forms
+from nodalq.quiver import QuiverError
 from nodalq.reps import _compositions, _radical, _weighted_multisets
 from util import (
     closure_catalog,
     decompose_by_peeling,
+    hom_space_by_uidx,
     is_indecomposable_by_sweep,
     is_isomorphic_by_sweep,
     is_new_indecomposable_by_probes,
@@ -126,6 +128,78 @@ def test_hom_space_dimensions_on_a2():
     assert len(hom_space(s0, p).basis) == 0
 
 
+def _random_quiver(rng):
+    """A quiver on one to three vertices whose arrows may be loops or
+    parallel to one another."""
+    vs = tuple(f"x{k}" for k in range(rng.randint(1, 3)))
+    arrows = tuple(Arrow(f"e{k}", rng.choice(vs), rng.choice(vs))
+                   for k in range(rng.randint(1, 4)))
+    return Quiver(vs, arrows)
+
+
+def _assert_same_hom_basis(m, n):
+    got, want = hom_space(m, n), hom_space_by_uidx(m, n)
+    assert len(got.basis) == len(want.basis), (m, n)
+    for f, g in zip(got.basis, want.basis):
+        assert (f.source, f.target) == (m, n)
+        assert [(b.shape, b.rows) for b in f.blocks] == [(b.shape, b.rows) for b in g.blocks], (
+            m, n)
+        assert all(b.field == m.field for b in f.blocks)
+
+
+def test_hom_space_matches_uidx_oracle():
+    rng = seeded(20261019)
+    fields = [GF(p) for p in (2, 3, 5, 7)] + [QQ]
+    seen = {"loop": 0, "parallel": 0, "zero vertex": 0, "nonzero hom": 0}
+    for _ in range(150):
+        q = _random_quiver(rng)
+        pres = hereditary(q)
+        field = rng.choice(fields)
+        m, n = (random_representation(pres, field, rng, max_dim=3) for _ in range(2))
+        if rng.random() < 0.3:
+            n = direct_sum(m, n)
+        _assert_same_hom_basis(m, n)
+        _assert_same_hom_basis(n, m)
+        _assert_same_hom_basis(m, m)
+        seen["loop"] += any(a.source == a.target for a in q.arrows)
+        ends = [(a.source, a.target) for a in q.arrows]
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["zero vertex"] += 0 in m.dims or 0 in n.dims
+        seen["nonzero hom"] += hom_space(m, n).dim > 0
+    assert min(seen.values()) > 20, seen
+    for name, field, bound in (("except_100", F2, 5), ("blown_chain", F3, 4)):
+        classes = enumerate_indecomposables(
+            _corpus_presentation(name), field, bound, method="closure").classes
+        assert len(classes) > 5
+        for m, n in itertools.product(classes, repeat=2):
+            _assert_same_hom_basis(m, n)
+
+
+def test_index_maps_keep_vertices_and_arrows_apart():
+    # the arrow named "a" is a loop at the vertex named "b", and the arrow
+    # named "b" runs from the vertex named "a" to it
+    q = Quiver(("a", "b"), (Arrow("b", "a", "b"), Arrow("a", "b", "b")))
+    assert q.vertex_index == {"a": 0, "b": 1}
+    assert q.arrow_index == {"b": 0, "a": 1}
+    assert q.arrow_ends == ((0, 1), (1, 1))
+    assert q.arrow("a") == Arrow("a", "b", "b") and q.arrow("b") == Arrow("b", "a", "b")
+    pres = hereditary(q)
+    m = make_representation(pres, F3, {"a": 1, "b": 2}, {"b": [[1], [2]], "a": [[0, 1], [0, 0]]})
+    assert (m.dim("a"), m.dim("b")) == (1, 2)
+    assert m.mat("a").rows == ((0, 1), (0, 0)) and m.mat("b").rows == ((1,), (2,))
+    f = identity_morphism(m)
+    assert f.block("a").shape == (1, 1) and f.block("b").shape == (2, 2)
+    assert path_matrix(m, ("a", "b")).rows == ((2,), (0,))
+    with pytest.raises(QuiverError):
+        q.arrow("c")
+    with pytest.raises(ValueError):
+        m.dim("c")
+    with pytest.raises(KeyError):
+        m.mat("c")
+    with pytest.raises(ValueError):
+        f.block("c")
+
+
 def test_morphism_algebra():
     p = make_representation(A2, F3, {"v0": 1, "v1": 1}, {"va0": [[1]]})
     ident = identity_morphism(p)
@@ -187,6 +261,39 @@ def test_summand_split_and_decompose():
     assert decompose(m, catalog) == (1, 0, 1, 1)
     with pytest.raises(ValueError):
         decompose(m, [s0])  # catalog cannot cover the interval
+
+
+def test_equal_presentations_built_apart_are_interchangeable():
+    # modules over equal presentations built apart are compared and
+    # decomposed as if they shared one; neither side is rebuilt
+    pres, twin = (_corpus_presentation("blown_chain") for _ in range(2))
+    assert pres == twin and pres is not twin
+    catalog = enumerate_indecomposables(pres, F2, 4, method="closure").classes
+    for k, c in enumerate(catalog):
+        moved = Representation(twin, F2, c.dims, c.mats)
+        assert moved._top.dim == c._top.dim
+        assert is_isomorphic(moved, c) and is_isomorphic(c, moved)
+        counts = decompose(direct_sum(moved, moved), catalog)
+        assert counts == tuple(2 * (j == k) for j in range(len(catalog)))
+        assert moved.pres is twin and c.pres is pres
+
+
+def test_a_module_over_a_twin_presentation_solves_its_end_ring_once(monkeypatch):
+    # the first comparison solves Hom both ways and End(moved); later ones
+    # reuse the End ring and top cached on moved
+    pres, twin = (_corpus_presentation("blown_chain") for _ in range(2))
+    catalog = enumerate_indecomposables(pres, F2, 4, method="closure").classes
+    c = max(catalog, key=lambda u: u.total)
+    assert c._top.dim
+    moved = Representation(twin, F2, c.dims, c.mats)
+    calls = []
+    monkeypatch.setattr("nodalq.reps.hom_space",
+                        lambda m, n: calls.append((m, n)) or hom_space(m, n))
+    for solves in (3, 2, 2):
+        calls.clear()
+        assert is_isomorphic(moved, c)
+        assert len(calls) == solves
+    assert [(m, n) for m, n in calls if m is n] == []
 
 
 def _random_invertible(field, n, rng):

@@ -18,6 +18,9 @@ by the End-ring certificate the enumerators under test use.
 The dispatch oracle is the field kernel that the single reduction rule
 of ``nodalq.linalg`` replaced: field objects with per-element method
 tables, called entry by entry.
+The Hom oracle is the intertwining solver that slice-built systems
+replaced: it places every coefficient through an index closure and
+finds positions by scanning the quiver.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ from nodalq import (
     Arrow,
     BudgetExceeded,
     Commutation,
+    HomSpace,
     Matrix,
+    Morphism,
     MonomialZero,
     NodalDatum,
     NonNilpotentCycle,
@@ -735,6 +740,55 @@ def scan_catalog(pres, field, max_total, budget):
                     found_here.append(m)
             catalog.extend(found_here)
     return catalog, examined
+
+
+# ---------------------------------------------------------------------------
+# the Hom oracle: hom_space before its systems were built by slices, kept
+# as it was apart from its name
+
+def hom_space_by_uidx(m: Representation, n: Representation) -> HomSpace:
+    """Solve the intertwining equations f.mat(a) = mat(a).f exactly."""
+    if m.pres != n.pres or m.field != n.field:
+        raise ShapeMismatch("hom spaces need a common presentation and field")
+    q = m.pres.quiver
+    field = m.field
+    z, mod = field.coerce(0), field.modulus
+    offsets = []
+    pos = 0
+    for v in q.vertices:
+        offsets.append(pos)
+        pos += n.dim(v) * m.dim(v)
+    unknowns = pos
+
+    def uidx(vi, i, j):
+        return offsets[vi] + i * m.dims[vi] + j
+
+    rows = []
+    for a in q.arrows:
+        si = q.vertices.index(a.source)
+        ti = q.vertices.index(a.target)
+        ma, na = m.mat(a.name), n.mat(a.name)
+        for i in range(n.dims[ti]):
+            for j in range(m.dims[si]):
+                row = [z] * unknowns
+                for k in range(m.dims[ti]):
+                    row[uidx(ti, i, k)] = ma.rows[k][j]
+                for k in range(n.dims[si]):
+                    col = uidx(si, k, j)
+                    row[col] = (row[col] - na.rows[i][k]) % mod
+                rows.append(tuple(row))
+    system = Matrix(field, len(rows), unknowns, tuple(rows))
+    basis = []
+    for vec in system.nullspace():
+        blocks = []
+        for vi, v in enumerate(q.vertices):
+            nd, md = n.dims[vi], m.dims[vi]
+            block_rows = tuple(
+                tuple(vec[uidx(vi, i, j)] for j in range(md)) for i in range(nd)
+            )
+            blocks.append(Matrix(field, nd, md, block_rows))
+        basis.append(Morphism(m, n, tuple(blocks)))
+    return HomSpace(m, n, tuple(basis))
 
 
 # ---------------------------------------------------------------------------
