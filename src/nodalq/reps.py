@@ -19,7 +19,14 @@ U_i, and d_i for the dimension of the division ring E(U_i).  Then E(m)
 is the product of the matrix rings M_a_i(E(U_i)), of dimension sum
 a_i^2 d_i, and Hom(m, n) modulo its radical has dimension sum a_i b_i
 d_i (Auslander, Reiten and Smalo, Representation Theory of Artin
-Algebras, ch. I).  The enumerators are:
+Algebras, ch. I).
+
+The rank of every arrow matrix, kept on the representation object, is a
+cheaper invariant: base change keeps it and it adds over direct sums.
+So ``is_isomorphic`` tells modules of different ranks apart, and
+``decompose`` skips a class whose ranks do not fit into what is left,
+without solving a Hom space; it counts the simples without one too.
+The enumerators are:
 
 * ``scan`` meets every matrix tuple per dimension vector up to base
   change, with one arrow in normal form and each relation checked as
@@ -35,11 +42,11 @@ Algebras, ch. I).  The enumerators are:
 
 Both enumerators decide a candidate by ``_is_local``, whose Fitting
 certificates settle nearly every candidate from End alone, and then only
-classes of its own dimension vector and End dimension can be isomorphic
-to it; those probes go through the basis-pair test of ``has_summand``,
-which is exact for indecomposable probes and never samples.  End, its
-top and the local verdict are kept on the representation object, so a
-catalog class pays for them once.
+classes of its own dimension vector, End dimension and arrow ranks can
+be isomorphic to it; those probes go through the basis-pair test of
+``has_summand``, which is exact for indecomposable probes and never
+samples.  End, its top, the local verdict and the arrow ranks are kept
+on the representation object, so a catalog class pays for them once.
 """
 
 from __future__ import annotations
@@ -127,6 +134,13 @@ class Representation:
     def _local(self):
         """``_is_local(self)``, decided once per object."""
         return _is_local(self)
+
+    @cached_property
+    def _ranks(self) -> tuple[int, ...]:
+        """The rank of every arrow matrix: kept by base change and
+        additive over direct sums, so a summand's ranks fit into the
+        module's."""
+        return tuple(x.rank() for x in self.mats)
 
 
 def make_representation(pres: Presentation, field, dims, mats) -> Representation:
@@ -512,7 +526,7 @@ def _residue(m, g, f) -> list:
     weighted entries of g.f are formed."""
     top = m._top
     mod = m.field.modulus
-    out = [0] * top.dim
+    out = [m.field.coerce(0)] * top.dim
     for (v, i, j), w in zip(top.entries, top.weights):
         left, right = g[v].rows[i], f[v].rows
         x = sum(a * right[k][j] for k, a in enumerate(left)) % mod
@@ -529,9 +543,11 @@ def _top_rank(m: Representation, n: Representation) -> int:
     if not into.basis:
         return 0
     back = hom_space(n, m)
-    return Matrix.from_rows(m.field, [
-        [x for g in back.basis for x in _residue(m, g.blocks, f.blocks)] for f in into.basis
-    ]).rank()
+    # _residue reduces its coordinates, so the pairing needs no coercion
+    return Matrix(m.field, into.dim, back.dim * m._top.dim, tuple([
+        tuple([x for g in back.basis for x in _residue(m, g.blocks, f.blocks)])
+        for f in into.basis
+    ])).rank()
 
 
 def _fitting_power(block: Matrix) -> Matrix:
@@ -613,27 +629,53 @@ def _is_local(m):
 def decompose(m: Representation, catalog) -> tuple[int, ...]:
     """Multiplicities of the catalog classes in ``m``.
 
-    The catalog must list pairwise non-isomorphic indecomposables and
-    cover every summand of ``m``; a leftover no class accounts for is an
-    error, never a silent drop.
+    The catalog must list pairwise non-isomorphic indecomposables over
+    the presentation and field of ``m`` and cover every summand of
+    ``m``; a leftover no class accounts for is an error, never a silent
+    drop.
 
-    The classes are visited once, largest total dimension first, each
-    only while its dimension vector fits into the part of ``m`` not yet
-    explained by the classes counted so far; the walk stops when nothing
-    is left.  The multiplicity of u is ``_top_rank(u, m)`` / dim E(u):
-    Hom(u, m) modulo its radical is a vector space of that dimension over
-    the division ring E(u), whatever the field and residue degree.
+    The classes are visited once, largest total dimension first.  What
+    is left of ``m`` once the classes counted so far are split off keeps
+    its dimension vector and its arrow ranks, the ranks of ``m`` minus
+    those of the counted summands, since ranks add over direct sums.  A
+    class whose dimensions or ranks do not fit into what is left is no
+    summand of it and counts 0 without a Hom solve; the walk stops when
+    nothing is left.  The multiplicity of any other class u is
+    ``_top_rank(u, m)`` / dim E(u): Hom(u, m) modulo its radical is a
+    vector space of that dimension over the division ring E(u), whatever
+    the field and residue degree.
+
+    The simples, the classes of total dimension one with zero arrows,
+    are counted last and without a Hom solve: when no arrow rank is left
+    the rest is semisimple, and the simple at v occurs ``left[v]``
+    times.  Otherwise some summand is not covered, and the simples are
+    counted by ``simple_summand_multiplicity`` so that the refusal names
+    the same leftover dimension vector.
     """
+    # simples and pruned classes meet no Hom solve to check them
+    for u in {(id(u.pres), id(u.field)): u for u in catalog}.values():
+        if u.pres != m.pres or u.field != m.field:
+            raise ShapeMismatch("catalog classes must live over the presentation and field of m")
     counts = [0] * len(catalog)
-    left = list(m.dims)
+    left, ranks = list(m.dims), list(m._ranks)
+    simples = []  # (class index, vertex index)
     for k, u in sorted(enumerate(catalog), key=lambda ku: -ku[1].total):
         if not any(left):
             break
         # a zero class has a zero top and counts nothing
-        if u.total == 0 or any(a > b for a, b in zip(u.dims, left)):
+        if (u.total == 0 or any(a > b for a, b in zip(u.dims, left))
+                or any(a > b for a, b in zip(u._ranks, ranks))):
+            continue
+        if u.total == 1 and not any(u._ranks):
+            simples.append((k, u.dims.index(1)))
             continue
         counts[k] = _top_rank(u, m) // u._top.dim
         left = [a - counts[k] * b for a, b in zip(left, u.dims)]
+        ranks = [a - counts[k] * b for a, b in zip(ranks, u._ranks)]
+    vertices = m.pres.quiver.vertices
+    for k, v in simples:
+        counts[k] = simple_summand_multiplicity(m, vertices[v]) if any(ranks) else left[v]
+        left[v] -= counts[k]
     if any(left):
         raise ValueError(
             "catalog does not cover a summand of the representation"
@@ -645,13 +687,15 @@ def decompose(m: Representation, catalog) -> tuple[int, ...]:
 def is_isomorphic(m: Representation, n: Representation) -> bool:
     """Exact isomorphism test from the tops of the endomorphism rings.
 
-    With a_i and b_i the multiplicities of U_i in m and in n, dim E(m) +
-    dim E(n) - 2 dim Hom(m, n)/rad is the sum of (a_i - b_i)^2 d_i, which
-    vanishes exactly when m and n are isomorphic.
+    Isomorphic modules have equal dimension vectors and arrow ranks, so
+    modules differing there are told apart without a Hom solve.
+    Otherwise, with a_i and b_i the multiplicities of U_i in m and in n,
+    dim E(m) + dim E(n) - 2 dim Hom(m, n)/rad is the sum of (a_i - b_i)^2
+    d_i, which vanishes exactly when m and n are isomorphic.
     """
     if m.pres != n.pres or m.field != n.field:
         raise ShapeMismatch("comparison needs a common presentation and field")
-    if m.dims != n.dims:
+    if m.dims != n.dims or m._ranks != n._ranks:
         return False
     if m.total == 0:
         return True
@@ -884,14 +928,15 @@ def _is_new_indecomposable(m, same_dimvec) -> bool:
     """Whether ``m`` is indecomposable and isomorphic to no module of
     ``same_dimvec``; exact over GF(p), since ``has_summand`` is exact for
     an indecomposable of the same dimension vector.  Classes of another
-    End dimension are skipped: isomorphic modules have equal End
-    dimensions."""
+    End dimension or other arrow ranks are skipped: isomorphic modules
+    have equal End dimensions and arrow ranks."""
     if m.total > 1 and (
         any(has_simple_summand_at(m, v) for v in m.pres.quiver.vertices) or not m._local
     ):
         return False
     return not any(
-        has_summand(m, u) for u in same_dimvec if u._end.dim == m._end.dim
+        has_summand(m, u) for u in same_dimvec
+        if u._end.dim == m._end.dim and u._ranks == m._ranks
     )
 
 

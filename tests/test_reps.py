@@ -51,9 +51,11 @@ from nodalq.reps import _compositions, _radical, _weighted_multisets
 from util import (
     closure_catalog,
     decompose_by_peeling,
+    decompose_by_top_rank,
     hom_space_by_uidx,
     is_indecomposable_by_sweep,
     is_isomorphic_by_sweep,
+    is_isomorphic_by_top_rank,
     is_new_indecomposable_by_probes,
     line_quiver,
     random_blow_datum,
@@ -379,6 +381,124 @@ def test_decompose_skips_a_zero_class():
     with pytest.raises(ValueError, match=r"stuck at dimension vector \(0, 1\)"):
         decompose(direct_sum(s1, s2), [zero, s1])
     assert decompose(direct_sum(s1, s2), [zero, s1, s2]) == (0, 1, 1)
+
+
+FREE_LOOP = hereditary(Quiver(("x",), (Arrow("a", "x", "x"),)))
+
+
+def _a3_intervals(field):
+    """The six interval modules of A3, the simples at positions 0, 3, 5."""
+    return [make_representation(A3, field, {f"v{k}": 1 for k in range(i, j + 1)},
+                                {f"va{k}": [[1]] for k in range(i, j)})
+            for i in range(3) for j in range(i, 3)]
+
+
+def _rank_pruning_catalogs():
+    """(catalog, description) pairs over GF(2), GF(3), GF(5) and QQ:
+    closure catalogs of corpus and hereditary presentations, free-loop
+    scan catalogs whose total-one classes besides the simple act by a
+    nonzero loop, and hand-built catalogs over QQ, each with a zero
+    class in front."""
+    closure = [("kronecker_glue", F2, 4), ("blown_chain", F2, 4), ("super_00", F3, 3),
+               ("kronecker_glue", F3, 3), ("glued_a2", GF(5), 3)]
+    catalogs = [(enumerate_indecomposables(_corpus_presentation(name), field, bound,
+                                           budget=64, method="closure").classes, name)
+                for name, field, bound in closure]
+    catalogs += [(enumerate_indecomposables(pres, field, bound, budget=64, method="closure")
+                  .classes, name) for pres, name, field, bound in
+                 ((A3, "A3", GF(5), 3), (KRONECKER, "Kronecker", GF(5), 2))]
+    catalogs += [(enumerate_indecomposables(FREE_LOOP, field, bound).classes, "free loop")
+                 for field, bound in ((F2, 3), (F3, 2), (GF(5), 2))]
+    loops = [make_representation(FREE_LOOP, QQ, {"x": d}, {"a": rows}) for d, rows in
+             ((1, [[0]]), (1, [[1]]), (1, [[-2]]), (2, [[0, 0], [1, 0]]), (2, [[0, 1], [-1, 0]]))]
+    catalogs += [(_a3_intervals(QQ), "A3 over QQ"), (loops, "free loop over QQ")]
+    return [((zero_representation(c[0].pres, c[0].field),) + tuple(c), name)
+            for c, name in catalogs]
+
+
+def test_rank_pruning_matches_top_rank_oracles():
+    # base-changed sums of catalog classes decompose, compare and refuse
+    # exactly as they did when every fitting class was probed
+    rng = seeded(12)
+    loops_seen = unequal = 0
+    for catalog, name in _rank_pruning_catalogs():
+        loops_seen += sum(u.total == 1 and any(u._ranks) for u in catalog)
+        made = []
+        for _ in range(8):
+            picks = [rng.randrange(1, len(catalog)) for _ in range(rng.randint(1, 4))]
+            m = catalog[picks[0]]
+            for k in picks[1:]:
+                m = direct_sum(m, catalog[k])
+            m = _base_changed(m, rng)
+            if m.total <= 4:  # the Hom solves of an isomorphism test grow fast
+                made += [m, _base_changed(m, rng)]
+            want = tuple(picks.count(k) for k in range(len(catalog)))
+            assert decompose(m, catalog) == decompose_by_top_rank(m, catalog) == want, name
+            # without one picked class the catalog leaves a summand uncovered
+            short = [u for k, u in enumerate(catalog) if k != picks[-1]]
+            with pytest.raises(ValueError) as oracle:
+                decompose_by_top_rank(m, short)
+            with pytest.raises(ValueError) as fast:
+                decompose(m, short)
+            assert str(fast.value) == str(oracle.value), name
+        made += [u for u in catalog if u.total <= 2]
+        for m, n in itertools.product(made, repeat=2):
+            if m.dims == n.dims:
+                assert is_isomorphic(m, n) == is_isomorphic_by_top_rank(m, n), name
+                unequal += m._ranks != n._ranks
+    assert loops_seen == 9 and unequal >= 50, (loops_seen, unequal)
+
+
+def test_arrow_ranks_are_kept_by_base_change_and_add_over_sums():
+    # loops, parallel arrows and vertices of dimension zero
+    shapes = [FREE_LOOP, TWO_LOOPS, KRONECKER3,
+              hereditary(Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "1", "2"),
+                                                  Arrow("c", "2", "2"), Arrow("d", "3", "2"))))]
+    rng = seeded(4)
+    zero_dims = 0
+    for pres in shapes:
+        for field in (F2, F3, GF(5), QQ):
+            for _ in range(6):
+                m, n = (random_representation(pres, field, rng, max_dim=3) for _ in range(2))
+                zero_dims += 0 in m.dims
+                assert _base_changed(m, rng)._ranks == m._ranks
+                assert direct_sum(m, n)._ranks == tuple(a + b for a, b in zip(m._ranks, n._ranks))
+    assert zero_dims > 10
+
+
+def test_ranks_spare_the_hom_solves_they_decide(monkeypatch):
+    # decompose solves no Hom space for a simple summand, nor for a class
+    # whose arrow ranks do not fit; is_isomorphic solves none for modules
+    # of different arrow ranks
+    catalog = _a3_intervals(F2)
+    s0, s1 = (simple_representation(A3, F2, v) for v in ("v0", "v1"))
+    m = _base_changed(direct_sum(direct_sum(catalog[2], s1), s0), seeded(3))
+    j2 = make_representation(_dual_numbers(), F2, {"(v0 v1)": 2}, {"va0": [[0, 0], [1, 0]]})
+    split = make_representation(_dual_numbers(), F2, {"(v0 v1)": 2}, {})
+    calls = []
+    monkeypatch.setattr("nodalq.reps.hom_space",
+                        lambda a, b: calls.append((a, b)) or hom_space(a, b))
+    assert decompose(m, catalog) == (1, 0, 1, 1, 0, 0)
+    # Hom(I, m), Hom(m, I) and End(I) for the interval I = catalog[2]
+    # alone; the interval on v0, v1 fits the dimensions left, (1, 1, 0),
+    # but not the ranks left, (0, 0)
+    assert len(calls) == 3
+    assert all(catalog[2] in pair for pair in calls)
+    calls.clear()
+    assert not is_isomorphic(j2, split) and not is_isomorphic(split, j2)
+    assert calls == []
+
+
+def test_decompose_refuses_a_catalog_over_another_presentation():
+    s1, s2 = (simple_representation(A2, F2, v) for v in ("v0", "v1"))
+    with pytest.raises(ShapeMismatch):
+        decompose(direct_sum(s1, s2), [s1, simple_representation(_dual_numbers(), F2, "(v0 v1)")])
+    other = [make_representation(hereditary(line_quiver(2, prefix="w")), F2, {v: 1}, {})
+             for v in ("w0", "w1")]
+    with pytest.raises(ShapeMismatch):
+        decompose(direct_sum(s1, s2), other)
+    with pytest.raises(ShapeMismatch):
+        decompose(direct_sum(s1, s2), [simple_representation(A2, F3, "v0"), s2])
 
 
 def test_isomorphism_distinguishes_jordan_blocks():

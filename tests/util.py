@@ -7,6 +7,10 @@ The dimension oracle lists every path with no zero subword and unifies
 the path classes that the commutation relations identify.
 The decomposition oracle peels one summand at a time off what is left,
 restarting from the first catalog class after every split.  The
+top-rank oracles are ``decompose`` and ``is_isomorphic`` before arrow
+ranks pruned their Hom solves: every class that fits the dimension
+vector, simples included, and every pair of equal dimension vectors is
+decided by the rank of the radical pairing.  The
 isomorphism and indecomposability oracles sweep every coefficient
 vector on a hom basis, up to a cap, instead of reading the top of an
 endomorphism ring.
@@ -51,6 +55,7 @@ from nodalq.reps import (
     ShapeMismatch,
     _compositions,
     _support_connected,
+    _top_rank,
     _weighted_multisets,
     check_relations,
     combine_morphisms,
@@ -543,6 +548,40 @@ def decompose_by_peeling(m, catalog) -> tuple[int, ...]:
                 f" (stuck at dimension vector {cur.dims})"
             )
     return tuple(counts)
+
+
+# ---------------------------------------------------------------------------
+# decomposition and isomorphism by the top rank alone, the references for
+# the arrow-rank pruning
+
+def decompose_by_top_rank(m, catalog) -> tuple[int, ...]:
+    counts = [0] * len(catalog)
+    left = list(m.dims)
+    for k, u in sorted(enumerate(catalog), key=lambda ku: -ku[1].total):
+        if not any(left):
+            break
+        # a zero class has a zero top and counts nothing
+        if u.total == 0 or any(a > b for a, b in zip(u.dims, left)):
+            continue
+        counts[k] = _top_rank(u, m) // u._top.dim
+        left = [a - counts[k] * b for a, b in zip(left, u.dims)]
+    if any(left):
+        raise ValueError(
+            "catalog does not cover a summand of the representation"
+            f" (stuck at dimension vector {tuple(left)})"
+        )
+    return tuple(counts)
+
+
+def is_isomorphic_by_top_rank(m, n) -> bool:
+    if m.pres != n.pres or m.field != n.field:
+        raise ShapeMismatch("comparison needs a common presentation and field")
+    if m.dims != n.dims:
+        return False
+    if m.total == 0:
+        return True
+    rank = _top_rank(m, n)
+    return rank > 0 and 2 * rank == m._top.dim + n._top.dim
 
 
 # ---------------------------------------------------------------------------
