@@ -273,16 +273,14 @@ def _arrow_graph(pres: Presentation):
     """Per vertex, the indices of its outgoing arrows; per arrow, the index
     of its head; and the map from a written word to its arrow indices."""
     q = pres.quiver
-    vertex = {v: k for k, v in enumerate(q.vertices)}
-    arrow = {a.name: k for k, a in enumerate(q.arrows)}
     out = [[] for _ in q.vertices]
-    for k, a in enumerate(q.arrows):
-        out[vertex[a.source]].append(k)
+    for k, (si, _) in enumerate(q.arrow_ends):
+        out[si].append(k)
 
     def word(written):
-        return tuple(arrow[n] for n in reversed(written))
+        return tuple(q.arrow_index[n] for n in reversed(written))
 
-    return out, [vertex[a.target] for a in q.arrows], word
+    return out, [ti for _, ti in q.arrow_ends], word
 
 
 def _live_graph(out, head, step, refusal: str):

@@ -11,6 +11,8 @@ is p over GF(p).  Every rational is its own residue, so QQ's modulus is an
 object whose ``__rmod__`` returns its left operand (``int`` and
 ``Fraction`` defer to it): ``x % QQ.modulus`` is ``x``, and no matrix
 method branches on its field.  ``coerce`` brings outside values in.
+One row-by-row elimination, ``Matrix._reduced``, serves rank, rref,
+nullspace, column space, ``solve`` and ``inverse``.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ class Matrix:
         return Matrix(self.field, self.nrows, self.ncols, rows), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._reduced())
 
     def nullspace(self) -> tuple[tuple, ...]:
         """Basis of the right kernel, one vector per free column.
@@ -261,47 +263,37 @@ class Matrix:
 
     def column_space_basis(self) -> "Matrix":
         """Matrix whose columns are the pivot columns (echelon convention)."""
-        # row space of the transpose = column space; its pivot rows give
-        # an echelon basis
-        R, piv = self.transpose().rref()
-        rows = [R.rows[i] for i in range(len(piv))]
-        if not rows:
-            return Matrix.zeros(self.field, self.nrows, 0)
-        return Matrix(self.field, len(rows), self.nrows, tuple(rows)).transpose()
+        # row space of the transpose = column space; its reduced echelon
+        # rows, in pivot order, are the columns of an echelon basis
+        rows = [row for _, row in sorted(self.transpose()._reduced().items())]
+        return Matrix(self.field, self.nrows, len(rows), tuple(zip(*rows)) or ((),) * self.nrows)
 
     def solve(self, b: "Matrix"):
-        """One solution ``x`` of ``self @ x = b`` or None (column-wise)."""
+        """One solution ``x`` of ``self @ x = b`` (column-wise): each reduced
+        row of [self | b] puts its b-part at its pivot, and the free columns
+        get zero.  None when a pivot lands in the b-part."""
         if b.nrows != self.nrows:
             raise ValueError("shape mismatch in solve")
-        f = self.field
-        aug = self.hstack(b)
-        R, pivots = aug.rref()
         n = self.ncols
-        # inconsistent if a pivot lands in the b-part
-        for pc in pivots:
-            if pc >= n:
-                return None
-        z = f.coerce(0)
-        cols = []
-        for j in range(b.ncols):
-            x = [z] * n
-            for r, pc in enumerate(pivots):
-                x[pc] = R.rows[r][n + j]
-            cols.append(x)
-        return Matrix(f, b.ncols, n, tuple(tuple(c) for c in cols)).transpose()
+        reduced = self.hstack(b)._reduced()
+        if any(pc >= n for pc in reduced):
+            return None
+        rows = [(self.field.coerce(0),) * b.ncols] * n
+        for pc, row in reduced.items():
+            rows[pc] = tuple(row[n:])
+        return Matrix(self.field, n, b.ncols, tuple(rows))
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
     def inverse(self) -> "Matrix":
+        """The solution of ``self @ x = 1``."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")
-        aug = self.hstack(Matrix.identity(self.field, self.nrows))
-        R, pivots = aug.rref()
-        if len(pivots) != self.nrows or any(p >= self.nrows for p in pivots):
+        x = self.solve(Matrix.identity(self.field, self.nrows))
+        if x is None:
             raise ValueError("matrix is singular")
-        rows = tuple(r[self.nrows:] for r in R.rows)
-        return Matrix(self.field, self.nrows, self.nrows, rows)
+        return x
 
 
 def block_diag(field, blocks: Iterable[Matrix]) -> Matrix:

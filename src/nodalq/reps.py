@@ -258,10 +258,6 @@ def compose_morphisms(g: Morphism, f: Morphism) -> Morphism:
     return Morphism(f.source, g.target, blocks)
 
 
-def _inverse_morphism(f: Morphism) -> Morphism:
-    return Morphism(f.target, f.source, tuple(b.inverse() for b in f.blocks))
-
-
 def combine_morphisms(hom: HomSpace, coeffs) -> Morphism:
     field = hom.source.field
     cs = [field.coerce(c) for c in coeffs]
@@ -399,44 +395,52 @@ def has_summand(m: Representation, u: Representation) -> bool:
     return _find_split(m, u) is not None
 
 
+def _restricted(m: Representation, bases) -> Representation:
+    """``m`` on the arrow-stable subspaces spanned by the columns of
+    ``bases``, one matrix per vertex, in the coordinates of those columns."""
+    mats = []
+    for (si, ti), ma in zip(m.pres.quiver.arrow_ends, m.mats):
+        restricted = bases[ti].solve(ma * bases[si])
+        if restricted is None:
+            raise RuntimeError("subspaces are not arrow-stable")
+        mats.append(restricted)
+    return Representation(m.pres, m.field, tuple(b.ncols for b in bases), tuple(mats))
+
+
 def split_summand(m: Representation, u: Representation):
     """Split one copy of the indecomposable ``u`` off ``m``; returns the
-    complement representation, or None when ``u`` is not a summand."""
+    complement, ``m`` on ker g for g.f invertible (m = im f + ker g), or
+    None when ``u`` is not a summand."""
     pair = _find_split(m, u)
     if pair is None:
         return None
-    f, g = pair
-    h = compose_morphisms(g, f)
-    e = compose_morphisms(f, compose_morphisms(_inverse_morphism(h), g))
-    field = m.field
-    q = m.pres.quiver
-    bases = []
-    for vi in range(len(q.vertices)):
-        vecs = e.blocks[vi].nullspace()
-        bases.append(_columns_matrix(field, m.dims[vi], vecs))
-    dims = tuple(b.ncols for b in bases)
-    mats = []
-    for (si, ti), ma in zip(q.arrow_ends, m.mats):
-        restricted = bases[ti].solve(ma * bases[si])
-        if restricted is None:
-            raise RuntimeError("idempotent complement is not arrow-stable")
-        mats.append(restricted)
-    return Representation(m.pres, field, dims, tuple(mats))
+    return _restricted(m, [_columns_matrix(m.field, d, g.nullspace())
+                           for d, g in zip(m.dims, pair[1].blocks)])
 
 
 def strip_simple_summands(m: Representation, vertices):
     """Split off every one-dimensional summand sitting at the given
-    vertices; returns the stripped representation and per-vertex counts."""
-    counts = {v: 0 for v in vertices}
-    cur = m
-    for v in vertices:
-        # splitting a summand off creates no new simple summand
-        # (Krull-Schmidt), so the multiplicity counts every split at v
-        simple = simple_representation(m.pres, m.field, v)
-        for _ in range(simple_summand_multiplicity(cur, v)):
-            cur = split_summand(cur, simple)
-            counts[v] += 1
-    return cur, counts
+    vertices; returns the stripped representation and per-vertex counts.
+
+    At v the simples span a complement of I in K + I, for K the joint
+    out-kernel and I the joint in-image.  The rest lives on I plus a
+    complement of K + I, which holds the in-image and meets K inside I.
+    """
+    counts = dict.fromkeys(vertices, 0)
+    q = m.pres.quiver
+    for v in counts:
+        if not q.has_vertex(v):
+            raise ShapeMismatch(f"no vertex {v!r}")
+        if not m.dim(v):
+            continue
+        kernel, image = _kernel_and_image(m, v)
+        rest = image.hstack(_section(m.field, m.dim(v), kernel.hstack(image)))
+        counts[v] = m.dim(v) - rest.ncols
+        if counts[v]:
+            bases = [Matrix.identity(m.field, d) for d in m.dims]
+            bases[q.vertex_index[v]] = rest
+            m = _restricted(m, bases)
+    return m, counts
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +516,7 @@ def _top_of(m) -> _Top:
     positions = [(v, i, j) for v, d in enumerate(m.dims) for i in range(d) for j in range(d)]
     flat = Matrix(field, n, len(positions), tuple(
         tuple(x for b in f.blocks for row in b.rows for x in row) for f in m._end.basis))
-    pivots = flat.rref()[1]
+    pivots = sorted(flat._reduced())
     square = Matrix(field, n, n, tuple(tuple(row[c] for c in pivots) for row in flat.rows))
     rad = _radical(m)
     quotient = Matrix(field, len(rad), n, rad).nullspace()
@@ -809,12 +813,10 @@ def blow_induce(m: Representation, v: str) -> Representation:
     return Representation(blown, m.field, tuple(dims), mats)
 
 
-def _section(field, dim, kernel_cols: Matrix) -> Matrix:
-    """Deterministic section of space -> space/kernel: the standard basis
-    vectors at the non-pivot coordinates of the kernel basis."""
-    if kernel_cols.ncols == 0:
-        return Matrix.identity(field, dim)
-    pivots = kernel_cols.transpose().rref()[1]
+def _section(field, dim, span_cols: Matrix) -> Matrix:
+    """Deterministic section of space -> space/span: the standard basis
+    vectors at the non-pivot coordinates of the spanning columns."""
+    pivots = span_cols.transpose()._reduced()
     free = [k for k in range(dim) if k not in pivots]
     z, o = field.coerce(0), field.coerce(1)
     return Matrix(field, dim, len(free), tuple(
@@ -1030,8 +1032,6 @@ def _scan_catalog(pres, field, max_total, budget):
             for mats in _orbit_tuples(field, shapes, ends, relations):
                 tested += 1
                 m = Representation(pres, field, dims, mats)
-                if not check_relations(m)[0]:
-                    continue
                 if _is_new_indecomposable(m, found_here):
                     found_here.append(m)
             catalog.extend(found_here)

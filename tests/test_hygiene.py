@@ -107,3 +107,15 @@ def linear_lookups(path: Path) -> list[str]:
 def test_reps_uses_quiver_index_maps():
     # positions come from Quiver.vertex_index, arrow_index and arrow_ends
     assert linear_lookups(SRC / "reps.py") == []
+
+
+def test_src_solves_off_the_reduced_rows():
+    # Matrix.rref builds a whole echelon Matrix; the library reads
+    # Matrix._reduced instead, and rref stays only as public API
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "rref"]
+    assert calls == []

@@ -62,6 +62,8 @@ from util import (
     random_glue_datum,
     scan_catalog,
     seeded,
+    split_summand_by_idempotent,
+    strip_simple_summands_by_splitting,
     unpruned_candidates,
 )
 
@@ -234,15 +236,19 @@ def test_simple_summand_detection():
     assert is_isomorphic(stripped, free)
 
 
-def test_strip_simple_summands_at_several_vertices():
+def test_strip_simple_summands_at_several_vertices(monkeypatch):
     simple = {v: simple_representation(A3, F3, v) for v in A3.quiver.vertices}
     interval = make_representation(A3, F3, {"v0": 1, "v1": 1}, {"va0": [[1]]})
     m = interval
     for v in ("v0", "v2", "v0", "v1"):
         m = direct_sum(m, simple[v])
     m = _base_changed(m, seeded(3))
+    calls = []
+    monkeypatch.setattr("nodalq.reps.hom_space",
+                        lambda a, b: calls.append((a, b)) or hom_space(a, b))
     stripped, counts = strip_simple_summands(m, ("v0", "v1", "v2"))
     assert counts == {"v0": 2, "v1": 1, "v2": 1}
+    assert calls == []  # kernels and images alone count and split the simples
     assert is_isomorphic(stripped, interval)
     stripped, counts = strip_simple_summands(m, ("v2",))
     assert counts == {"v2": 1} and stripped.dims == (3, 2, 0)
@@ -263,6 +269,49 @@ def test_summand_split_and_decompose():
     assert decompose(m, catalog) == (1, 0, 1, 1)
     with pytest.raises(ValueError):
         decompose(m, [s0])  # catalog cannot cover the interval
+
+
+def test_kernel_complements_match_splitting_oracles():
+    # split_summand keeps m on ker g and strip_simple_summands on one
+    # complement per vertex; the oracles build the idempotent
+    # f.(g.f)^-1.g and split one simple at a time
+    rng = seeded(20261020)
+    fields = [F2, F3, GF(5), QQ]
+    seen = {"split": 0, "no split": 0, "stripped": 0, "loop": 0, "parallel": 0,
+            "zero vertex": 0}
+    for trial in range(160):
+        q = _random_quiver(rng)
+        pres = hereditary(q)
+        field = fields[trial % len(fields)]
+        u, rest = (random_representation(pres, field, rng, max_dim=d) for d in (1, 2))
+        simples = [simple_representation(pres, field, v)
+                   for v in rng.choices(q.vertices, k=rng.randint(0, 2))]
+        m = direct_sum(u, rest)
+        for x in simples:
+            m = direct_sum(m, x)
+        m = _base_changed(m, rng)
+        for probe in [u, rest] + simples:
+            if probe.total == 0:
+                continue
+            got, want = split_summand(m, probe), split_summand_by_idempotent(m, probe)
+            assert got == want, (m, probe)
+            seen["no split" if got is None else "split"] += 1
+        vertices = rng.sample(q.vertices, rng.randint(1, len(q.vertices)))
+        vertices.append(rng.choice(vertices))  # a vertex listed twice
+        got, counts = strip_simple_summands(m, vertices)
+        want, want_counts = strip_simple_summands_by_splitting(m, vertices)
+        assert counts == want_counts, (m, vertices)
+        assert is_isomorphic(got, want), (m, vertices)
+        assert not any(simple_summand_multiplicity(got, v) for v in vertices)
+        seen["stripped"] += any(counts.values())
+        seen["loop"] += any(a.source == a.target for a in q.arrows)
+        ends = [(a.source, a.target) for a in q.arrows]
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["zero vertex"] += 0 in m.dims
+        for strip in (strip_simple_summands, strip_simple_summands_by_splitting):
+            with pytest.raises(ShapeMismatch, match=r"^no vertex 'x'$"):
+                strip(m, (q.vertices[0], "x"))
+    assert min(seen.values()) > 20, seen
 
 
 def test_equal_presentations_built_apart_are_interchangeable():

@@ -25,6 +25,9 @@ tables, called entry by entry.
 The Hom oracle is the intertwining solver that slice-built systems
 replaced: it places every coefficient through an index closure and
 finds positions by scanning the quiver.
+The splitting oracles build the idempotent f.(g.f)^-1.g and take its
+kernel, and strip simples one split at a time, where the library takes
+ker g and one kernel complement per vertex.
 """
 
 from __future__ import annotations
@@ -53,7 +56,9 @@ from nodalq import (
 from nodalq.linalg import SUPPORTED_PRIMES, all_matrices
 from nodalq.reps import (
     ShapeMismatch,
+    _columns_matrix,
     _compositions,
+    _find_split,
     _support_connected,
     _top_rank,
     _weighted_multisets,
@@ -67,6 +72,7 @@ from nodalq.reps import (
     identity_morphism,
     path_matrix,
     simple_representation,
+    simple_summand_multiplicity,
     split_summand,
 )
 
@@ -582,6 +588,54 @@ def is_isomorphic_by_top_rank(m, n) -> bool:
         return True
     rank = _top_rank(m, n)
     return rank > 0 and 2 * rank == m._top.dim + n._top.dim
+
+
+# ---------------------------------------------------------------------------
+# splitting by an idempotent and stripping one simple at a time, the
+# references for the kernel complements
+
+def _inverse_morphism(f: Morphism) -> Morphism:
+    return Morphism(f.target, f.source, tuple(b.inverse() for b in f.blocks))
+
+
+def split_summand_by_idempotent(m: Representation, u: Representation):
+    """Split one copy of the indecomposable ``u`` off ``m``; returns the
+    complement representation, or None when ``u`` is not a summand."""
+    pair = _find_split(m, u)
+    if pair is None:
+        return None
+    f, g = pair
+    h = compose_morphisms(g, f)
+    e = compose_morphisms(f, compose_morphisms(_inverse_morphism(h), g))
+    field = m.field
+    q = m.pres.quiver
+    bases = []
+    for vi in range(len(q.vertices)):
+        vecs = e.blocks[vi].nullspace()
+        bases.append(_columns_matrix(field, m.dims[vi], vecs))
+    dims = tuple(b.ncols for b in bases)
+    mats = []
+    for (si, ti), ma in zip(q.arrow_ends, m.mats):
+        restricted = bases[ti].solve(ma * bases[si])
+        if restricted is None:
+            raise RuntimeError("idempotent complement is not arrow-stable")
+        mats.append(restricted)
+    return Representation(m.pres, field, dims, tuple(mats))
+
+
+def strip_simple_summands_by_splitting(m: Representation, vertices):
+    """Split off every one-dimensional summand sitting at the given
+    vertices; returns the stripped representation and per-vertex counts."""
+    counts = {v: 0 for v in vertices}
+    cur = m
+    for v in vertices:
+        # splitting a summand off creates no new simple summand
+        # (Krull-Schmidt), so the multiplicity counts every split at v
+        simple = simple_representation(m.pres, m.field, v)
+        for _ in range(simple_summand_multiplicity(cur, v)):
+            cur = split_summand_by_idempotent(cur, simple)
+            counts[v] += 1
+    return cur, counts
 
 
 # ---------------------------------------------------------------------------
