@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .construct import InvalidDatum, NodalDatum, build_presentation, validate
+from .construct import InvalidDatum, NodalDatum, _inessential_order, build_presentation, validate
 from .quiver import (
     ACYCLE,
     ALINE,
@@ -32,6 +32,7 @@ from .quiver import (
     MonomialZero,
     Presentation,
     Quiver,
+    _induced_quiver,
     underlying_shape,
 )
 
@@ -117,11 +118,7 @@ def is_inessential(d: NodalDatum, pair) -> bool:
     i, j = tuple(pair)
     if not any({i, j} == set(p) for p in d.glue_pairs):
         raise UnknownPair(f"({i}, {j}) is not a glue pair of this datum")
-    base = d.base
-    for s, t in ((i, j), (j, i)):
-        if not base.in_arrows(s) and not base.out_arrows(t):
-            return True
-    return False
+    return _inessential_order(d.base, i, j) is not None
 
 
 def strip_inessential(d: NodalDatum) -> NodalDatum:
@@ -433,13 +430,6 @@ def exceptional_type(p: ExceptionalParams) -> RepType:
             f" ({n}, {m}, {l}): {verdict}",
         ),
     )
-
-
-def _induced_quiver(q: Quiver, vertices) -> Quiver:
-    vs = tuple(v for v in q.vertices if v in vertices)
-    keep = set(vs)
-    arrows = tuple(a for a in q.arrows if a.source in keep and a.target in keep)
-    return Quiver(vs, arrows)
 
 
 def _relation_component(pres: Presentation, r, comp_of: dict[str, int]) -> int:

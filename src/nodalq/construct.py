@@ -127,6 +127,15 @@ def _remap(r, q: Quiver, rename=lambda a: a):
     )
 
 
+def _inessential_order(q: Quiver, i: str, j: str):
+    """The ordering (s, t) of the pair with no arrows into s and none out
+    of t, trying (i, j) first; None when neither ordering has that."""
+    for s, t in ((i, j), (j, i)):
+        if not q.in_arrows(s) and not q.out_arrows(t):
+            return s, t
+    return None
+
+
 def glue_presentation(pres: Presentation, i: str, j: str, merged_id=None):
     """Merge vertices ``i`` and ``j`` of a presentation.
 

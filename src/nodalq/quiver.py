@@ -141,6 +141,13 @@ class Quiver:
         return tuple(comps)
 
 
+def _induced_quiver(q: Quiver, vertices) -> Quiver:
+    vs = tuple(v for v in q.vertices if v in vertices)
+    keep = set(vs)
+    arrows = tuple(a for a in q.arrows if a.source in keep and a.target in keep)
+    return Quiver(vs, arrows)
+
+
 @dataclass(frozen=True)
 class Path:
     """A path in a quiver, stored as the written word of arrow names.

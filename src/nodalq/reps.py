@@ -56,9 +56,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .construct import _arrow_graph, _avoiding, _live_graph, blow_presentation, glue_presentation
+from .construct import (
+    _arrow_graph,
+    _avoiding,
+    _inessential_order,
+    _live_graph,
+    blow_presentation,
+    glue_presentation,
+)
 from .linalg import Matrix, all_matrices, block_diag, rank_forms, similarity_forms
-from .quiver import Presentation
+from .quiver import Presentation, _induced_quiver
 
 
 class ShapeMismatch(ValueError):
@@ -397,14 +404,19 @@ def has_summand(m: Representation, u: Representation) -> bool:
 
 def _restricted(m: Representation, bases) -> Representation:
     """``m`` on the arrow-stable subspaces spanned by the columns of
-    ``bases``, one matrix per vertex, in the coordinates of those columns."""
+    ``bases``, one matrix per vertex, in the coordinates of those columns;
+    None keeps the whole space at its vertex."""
     mats = []
     for (si, ti), ma in zip(m.pres.quiver.arrow_ends, m.mats):
-        restricted = bases[ti].solve(ma * bases[si])
-        if restricted is None:
-            raise RuntimeError("subspaces are not arrow-stable")
-        mats.append(restricted)
-    return Representation(m.pres, m.field, tuple(b.ncols for b in bases), tuple(mats))
+        if bases[si] is not None:
+            ma = ma * bases[si]
+        if bases[ti] is not None:
+            ma = bases[ti].solve(ma)
+            if ma is None:
+                raise RuntimeError("subspaces are not arrow-stable")
+        mats.append(ma)
+    dims = tuple(d if b is None else b.ncols for d, b in zip(m.dims, bases))
+    return Representation(m.pres, m.field, dims, tuple(mats))
 
 
 def split_summand(m: Representation, u: Representation):
@@ -425,9 +437,13 @@ def strip_simple_summands(m: Representation, vertices):
     At v the simples span a complement of I in K + I, for K the joint
     out-kernel and I the joint in-image.  The rest lives on I plus a
     complement of K + I, which holds the in-image and meets K inside I.
+    The simples at v lie in K, which the arrows out of v kill, so
+    stripping them changes K and I at no other vertex, and one
+    restriction strips every vertex at once.
     """
     counts = dict.fromkeys(vertices, 0)
     q = m.pres.quiver
+    bases = [None] * len(m.dims)
     for v in counts:
         if not q.has_vertex(v):
             raise ShapeMismatch(f"no vertex {v!r}")
@@ -436,11 +452,9 @@ def strip_simple_summands(m: Representation, vertices):
         kernel, image = _kernel_and_image(m, v)
         rest = image.hstack(_section(m.field, m.dim(v), kernel.hstack(image)))
         counts[v] = m.dim(v) - rest.ncols
-        if counts[v]:
-            bases = [Matrix.identity(m.field, d) for d in m.dims]
+        if counts[v]:  # with no simple, rest is another basis of the whole space
             bases[q.vertex_index[v]] = rest
-            m = _restricted(m, bases)
-    return m, counts
+    return _restricted(m, bases), counts
 
 
 # ---------------------------------------------------------------------------
@@ -787,11 +801,7 @@ def glue_induce_inessential(
     ordering has no arrows into the first vertex and none out of the
     second; arrows from one glued vertex to the other are allowed and
     become nilpotent loops."""
-    q = m.pres.quiver
-    ok = (not q.in_arrows(i) and not q.out_arrows(j)) or (
-        not q.in_arrows(j) and not q.out_arrows(i)
-    )
-    if not ok:
+    if _inessential_order(m.pres.quiver, i, j) is None:
         raise ShapeMismatch(f"pair ({i!r}, {j!r}) is not inessential here")
     return _glue_blocks(m, i, j, merged_id)
 
@@ -835,13 +845,14 @@ def glue_restrict_inessential(
     subspace coordinates.  On representations pushed forward from a base
     representation without one-dimensional summands at the pair, this
     recovers that representation on the nose.
+
+    Gluing keeps the arrows and their order, so ``n`` is first read over
+    the base with the whole merged space at both copies, then restricted.
+    That is arrow-stable: nothing enters s, and every arrow into t lands
+    in the joint image.
     """
     bq = base_pres.quiver
-    ordering = None
-    for s, t in ((i, j), (j, i)):
-        if not bq.in_arrows(s) and not bq.out_arrows(t):
-            ordering = (s, t)
-            break
+    ordering = _inessential_order(bq, i, j)
     if ordering is None:
         raise ShapeMismatch(f"pair ({i!r}, {j!r}) is not inessential in the base")
     s, t = ordering
@@ -850,35 +861,14 @@ def glue_restrict_inessential(
         raise ShapeMismatch(
             "representation does not live over the glued form of this base"
         )
-    field = n.field
     w = vmap[i][0]
     dw = n.dim(w)
     kernel, image = _kernel_and_image(n, w)
-    section = _section(field, dw, kernel)
-
-    dims = []
-    for v in bq.vertices:
-        if v == s:
-            dims.append(dw - kernel.ncols)
-        elif v == t:
-            dims.append(image.ncols)
-        else:
-            dims.append(n.dim(v))
-    mats = []
-    for a in bq.arrows:
-        na = n.mat(a.name)
-        if a.source == s and a.target == t:
-            solved = image.solve(na * section)
-        elif a.source == s:
-            solved = na * section
-        elif a.target == t:
-            solved = image.solve(na)
-        else:
-            solved = na
-        if solved is None:
-            raise RuntimeError("ending arrow image escaped the joint image")
-        mats.append(solved)
-    return Representation(base_pres, field, tuple(dims), tuple(mats))
+    bases = [None] * len(bq.vertices)
+    bases[bq.vertex_index[s]] = _section(n.field, dw, kernel)
+    bases[bq.vertex_index[t]] = image
+    dims = tuple(dw if v in (s, t) else n.dim(v) for v in bq.vertices)
+    return _restricted(Representation(base_pres, n.field, dims, n.mats), bases)
 
 
 # ---------------------------------------------------------------------------
@@ -906,35 +896,13 @@ def _compositions(total, parts):
         yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
-def _support_connected(q, dims) -> bool:
-    support = {v for v, d in zip(q.vertices, dims) if d > 0}
-    if len(support) <= 1:
-        return True
-    adj = {v: set() for v in support}
-    for a in q.arrows:
-        if a.source in support and a.target in support:
-            adj[a.source].add(a.target)
-            adj[a.target].add(a.source)
-    seen = set()
-    stack = [next(iter(support))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v] - seen)
-    return seen == support
-
-
 def _is_new_indecomposable(m, same_dimvec) -> bool:
     """Whether ``m`` is indecomposable and isomorphic to no module of
     ``same_dimvec``; exact over GF(p), since ``has_summand`` is exact for
     an indecomposable of the same dimension vector.  Classes of another
     End dimension or other arrow ranks are skipped: isomorphic modules
     have equal End dimensions and arrow ranks."""
-    if m.total > 1 and (
-        any(has_simple_summand_at(m, v) for v in m.pres.quiver.vertices) or not m._local
-    ):
+    if not is_indecomposable(m):
         return False
     return not any(
         has_summand(m, u) for u in same_dimvec
@@ -1018,7 +986,8 @@ def _scan_catalog(pres, field, max_total, budget):
     examined = tested = 0
     for total in range(1, max_total + 1):
         for dims in _compositions(total, len(q.vertices)):
-            if not _support_connected(q, dims):
+            support = {v for v, d in zip(q.vertices, dims) if d}
+            if len(_induced_quiver(q, support).undirected_components()) > 1:
                 continue
             shapes = [(dims[ti], dims[si]) for si, ti in ends]
             cost = sum(r * c for r, c in shapes)

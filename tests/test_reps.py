@@ -27,6 +27,7 @@ from nodalq import (
     decompose,
     direct_sum,
     enumerate_indecomposables,
+    glue_restrict_inessential,
     has_simple_summand_at,
     has_summand,
     hereditary,
@@ -47,11 +48,12 @@ from nodalq import (
 
 from nodalq.linalg import all_matrices, block_diag, rank_forms, similarity_forms
 from nodalq.quiver import QuiverError
-from nodalq.reps import _compositions, _radical, _weighted_multisets
+from nodalq.reps import _compositions, _glue_blocks, _radical, _weighted_multisets
 from util import (
     closure_catalog,
     decompose_by_peeling,
     decompose_by_top_rank,
+    glue_restrict_by_arrow_cases,
     hom_space_by_uidx,
     is_indecomposable_by_sweep,
     is_isomorphic_by_sweep,
@@ -64,6 +66,7 @@ from util import (
     seeded,
     split_summand_by_idempotent,
     strip_simple_summands_by_splitting,
+    strip_simple_summands_vertex_by_vertex,
     unpruned_candidates,
 )
 
@@ -243,15 +246,27 @@ def test_strip_simple_summands_at_several_vertices(monkeypatch):
     for v in ("v0", "v2", "v0", "v1"):
         m = direct_sum(m, simple[v])
     m = _base_changed(m, seeded(3))
-    calls = []
+    calls, solves = [], []
     monkeypatch.setattr("nodalq.reps.hom_space",
                         lambda a, b: calls.append((a, b)) or hom_space(a, b))
-    stripped, counts = strip_simple_summands(m, ("v0", "v1", "v2"))
-    assert counts == {"v0": 2, "v1": 1, "v2": 1}
+    solve = Matrix.solve
+    monkeypatch.setattr(Matrix, "solve", lambda a, b: solves.append(a) or solve(a, b))
+
+    def strip(m, vertices):
+        # one restriction: a solve per arrow into a vertex that lost a simple
+        solves.clear()
+        stripped, counts = strip_simple_summands(m, vertices)
+        assert len(solves) == sum(counts.get(a.target, 0) > 0 for a in A3.quiver.arrows)
+        return stripped, counts
+
+    stripped, counts = strip(m, ("v0", "v1", "v2"))
+    assert counts == {"v0": 2, "v1": 1, "v2": 1} and len(solves) == 2
     assert calls == []  # kernels and images alone count and split the simples
     assert is_isomorphic(stripped, interval)
-    stripped, counts = strip_simple_summands(m, ("v2",))
+    stripped, counts = strip(m, ("v2",))
     assert counts == {"v2": 1} and stripped.dims == (3, 2, 0)
+    stripped, counts = strip(interval, ("v0", "v1", "v2"))
+    assert not any(counts.values()) and solves == [] and stripped == interval
 
 
 def test_summand_split_and_decompose():
@@ -299,6 +314,7 @@ def test_kernel_complements_match_splitting_oracles():
         vertices = rng.sample(q.vertices, rng.randint(1, len(q.vertices)))
         vertices.append(rng.choice(vertices))  # a vertex listed twice
         got, counts = strip_simple_summands(m, vertices)
+        assert (got, counts) == strip_simple_summands_vertex_by_vertex(m, vertices)
         want, want_counts = strip_simple_summands_by_splitting(m, vertices)
         assert counts == want_counts, (m, vertices)
         assert is_isomorphic(got, want), (m, vertices)
@@ -308,9 +324,51 @@ def test_kernel_complements_match_splitting_oracles():
         ends = [(a.source, a.target) for a in q.arrows]
         seen["parallel"] += len(set(ends)) < len(ends)
         seen["zero vertex"] += 0 in m.dims
-        for strip in (strip_simple_summands, strip_simple_summands_by_splitting):
+        for strip in (strip_simple_summands, strip_simple_summands_vertex_by_vertex,
+                      strip_simple_summands_by_splitting):
             with pytest.raises(ShapeMismatch, match=r"^no vertex 'x'$"):
                 strip(m, (q.vertices[0], "x"))
+    assert min(seen.values()) > 20, seen
+
+
+def _outcome(f, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_pull_back_matches_arrow_case_oracle():
+    # glue_restrict_inessential restricts the unglued module once; the
+    # oracle places every arrow by which glued copy it touches
+    rng = seeded(20261021)
+    fields = [F2, F3, GF(5), QQ]
+    seen = {"pulled back": 0, "not inessential": 0, "foreign": 0, "stripped": 0,
+            "loop": 0, "parallel": 0, "zero vertex": 0}
+    for trial in range(120):
+        q = _random_quiver(rng)
+        pres = hereditary(q)
+        field = fields[trial % len(fields)]
+        m = _base_changed(random_representation(pres, field, rng, max_dim=2), rng)
+        for i, j in itertools.permutations(q.vertices, 2):
+            pushed = _glue_blocks(m, i, j, None)
+            (w,) = set(pushed.pres.quiver.vertices) - set(q.vertices)
+            stripped, counts = strip_simple_summands(pushed, (w,))
+            seen["stripped"] += counts[w] > 0
+            for n, pair in itertools.product((m, pushed, stripped), ((i, j), (j, i))):
+                got = _outcome(glue_restrict_inessential, n, pres, *pair)
+                assert got == _outcome(glue_restrict_by_arrow_cases, n, pres, *pair), (
+                    n, pair)
+                if isinstance(got, Representation):
+                    seen["pulled back"] += 1
+                else:
+                    assert got[0] is ShapeMismatch, got
+                    seen["not inessential" if "inessential" in got[1] else "foreign"] += 1
+        seen["loop"] += any(a.source == a.target for a in q.arrows)
+        ends = [(a.source, a.target) for a in q.arrows]
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["zero vertex"] += 0 in m.dims
     assert min(seen.values()) > 20, seen
 
 

@@ -27,7 +27,12 @@ replaced: it places every coefficient through an index closure and
 finds positions by scanning the quiver.
 The splitting oracles build the idempotent f.(g.f)^-1.g and take its
 kernel, and strip simples one split at a time, where the library takes
-ker g and one kernel complement per vertex.
+ker g and one kernel complement per vertex.  The idempotent oracle
+searches its split pairs with its own copy of the pair search.
+The stripping and pull-back oracles are the library versions before both
+went through one restriction with ``None`` for an untouched vertex: one
+restriction per stripped vertex against identity bases elsewhere, and a
+pull-back that places every arrow by which glued copy it touches.
 """
 
 from __future__ import annotations
@@ -52,14 +57,15 @@ from nodalq import (
     Quiver,
     Representation,
     SearchSpaceTooLarge,
+    glue_presentation,
 )
 from nodalq.linalg import SUPPORTED_PRIMES, all_matrices
 from nodalq.reps import (
     ShapeMismatch,
     _columns_matrix,
     _compositions,
-    _find_split,
-    _support_connected,
+    _kernel_and_image,
+    _section,
     _top_rank,
     _weighted_multisets,
     check_relations,
@@ -598,10 +604,30 @@ def _inverse_morphism(f: Morphism) -> Morphism:
     return Morphism(f.target, f.source, tuple(b.inverse() for b in f.blocks))
 
 
+def _find_split_by_pairs(m: Representation, u: Representation):
+    """A pair (f, g) with g.f invertible on ``u``, or None.
+
+    Exact for indecomposable ``u``: its endomorphism ring is local, so
+    if a copy of ``u`` splits off then already some pair of hom basis
+    elements composes to an automorphism.
+    """
+    if any(du > dm for du, dm in zip(u.dims, m.dims)):
+        return None
+    into = hom_space(u, m)
+    if not into.basis:
+        return None
+    back = hom_space(m, u)
+    for f in into.basis:
+        for g in back.basis:
+            if compose_morphisms(g, f).is_isomorphism():
+                return f, g
+    return None
+
+
 def split_summand_by_idempotent(m: Representation, u: Representation):
     """Split one copy of the indecomposable ``u`` off ``m``; returns the
     complement representation, or None when ``u`` is not a summand."""
-    pair = _find_split(m, u)
+    pair = _find_split_by_pairs(m, u)
     if pair is None:
         return None
     f, g = pair
@@ -636,6 +662,101 @@ def strip_simple_summands_by_splitting(m: Representation, vertices):
             cur = split_summand_by_idempotent(cur, simple)
             counts[v] += 1
     return cur, counts
+
+
+def _restricted_at_every_vertex(m: Representation, bases) -> Representation:
+    """``m`` on the arrow-stable subspaces spanned by the columns of
+    ``bases``, one matrix per vertex, in the coordinates of those columns."""
+    mats = []
+    for (si, ti), ma in zip(m.pres.quiver.arrow_ends, m.mats):
+        restricted = bases[ti].solve(ma * bases[si])
+        if restricted is None:
+            raise RuntimeError("subspaces are not arrow-stable")
+        mats.append(restricted)
+    return Representation(m.pres, m.field, tuple(b.ncols for b in bases), tuple(mats))
+
+
+def strip_simple_summands_vertex_by_vertex(m: Representation, vertices):
+    """Split off every one-dimensional summand sitting at the given
+    vertices; returns the stripped representation and per-vertex counts.
+
+    At v the simples span a complement of I in K + I, for K the joint
+    out-kernel and I the joint in-image.  The rest lives on I plus a
+    complement of K + I, which holds the in-image and meets K inside I.
+    """
+    counts = dict.fromkeys(vertices, 0)
+    q = m.pres.quiver
+    for v in counts:
+        if not q.has_vertex(v):
+            raise ShapeMismatch(f"no vertex {v!r}")
+        if not m.dim(v):
+            continue
+        kernel, image = _kernel_and_image(m, v)
+        rest = image.hstack(_section(m.field, m.dim(v), kernel.hstack(image)))
+        counts[v] = m.dim(v) - rest.ncols
+        if counts[v]:
+            bases = [Matrix.identity(m.field, d) for d in m.dims]
+            bases[q.vertex_index[v]] = rest
+            m = _restricted_at_every_vertex(m, bases)
+    return m, counts
+
+
+def glue_restrict_by_arrow_cases(
+    n: Representation, base_pres: Presentation, i: str, j: str
+) -> Representation:
+    """Pull a representation of the glued presentation back to the base.
+
+    Only defined for an inessential pair.  At the merged vertex the
+    source-role copy receives the space modulo the joint kernel of the
+    starting arrows and the sink-role copy the joint image of the ending
+    arrows; induced maps use a deterministic section and echelon
+    subspace coordinates.  On representations pushed forward from a base
+    representation without one-dimensional summands at the pair, this
+    recovers that representation on the nose.
+    """
+    bq = base_pres.quiver
+    ordering = None
+    for s, t in ((i, j), (j, i)):
+        if not bq.in_arrows(s) and not bq.out_arrows(t):
+            ordering = (s, t)
+            break
+    if ordering is None:
+        raise ShapeMismatch(f"pair ({i!r}, {j!r}) is not inessential in the base")
+    s, t = ordering
+    glued, vmap, _ = glue_presentation(base_pres, i, j)
+    if n.pres != glued:
+        raise ShapeMismatch(
+            "representation does not live over the glued form of this base"
+        )
+    field = n.field
+    w = vmap[i][0]
+    dw = n.dim(w)
+    kernel, image = _kernel_and_image(n, w)
+    section = _section(field, dw, kernel)
+
+    dims = []
+    for v in bq.vertices:
+        if v == s:
+            dims.append(dw - kernel.ncols)
+        elif v == t:
+            dims.append(image.ncols)
+        else:
+            dims.append(n.dim(v))
+    mats = []
+    for a in bq.arrows:
+        na = n.mat(a.name)
+        if a.source == s and a.target == t:
+            solved = image.solve(na * section)
+        elif a.source == s:
+            solved = na * section
+        elif a.target == t:
+            solved = image.solve(na)
+        else:
+            solved = na
+        if solved is None:
+            raise RuntimeError("ending arrow image escaped the joint image")
+        mats.append(solved)
+    return Representation(base_pres, field, tuple(dims), tuple(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +920,26 @@ def closure_catalog(pres, field, max_total, budget):
 
 # ---------------------------------------------------------------------------
 # exhaustive scan oracle
+
+def _support_connected(q, dims) -> bool:
+    support = {v for v, d in zip(q.vertices, dims) if d > 0}
+    if len(support) <= 1:
+        return True
+    adj = {v: set() for v in support}
+    for a in q.arrows:
+        if a.source in support and a.target in support:
+            adj[a.source].add(a.target)
+            adj[a.target].add(a.source)
+    seen = set()
+    stack = [next(iter(support))]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        stack.extend(adj[v] - seen)
+    return seen == support
+
 
 def scan_catalog(pres, field, max_total, budget):
     if field.size is None:
