@@ -136,11 +136,28 @@ def _inessential_order(q: Quiver, i: str, j: str):
     return None
 
 
+def _built_once(pres: Presentation, build, *args):
+    """``build(pres, *args)``, built once per presentation object and
+    arguments and kept on ``pres``; each call gets fresh copies of the
+    vertex and arrow maps, and a build that raises keeps nothing."""
+    key = (build, *args)
+    got = pres._derived.get(key)
+    if got is None:
+        got = pres._derived[key] = build(pres, *args)
+    new, vertex_map, arrow_map = got
+    return new, dict(vertex_map), dict(arrow_map)
+
+
 def glue_presentation(pres: Presentation, i: str, j: str, merged_id=None):
     """Merge vertices ``i`` and ``j`` of a presentation.
 
     Returns the new presentation plus per-step vertex and arrow maps.
+    One presentation object is built per base object and arguments.
     """
+    return _built_once(pres, _glue, i, j, merged_id)
+
+
+def _glue(pres: Presentation, i: str, j: str, merged_id):
     q = pres.quiver
     if i == j:
         raise InvalidDatum("cannot glue a vertex to itself")
@@ -175,7 +192,12 @@ def glue_presentation(pres: Presentation, i: str, j: str, merged_id=None):
 
 
 def blow_presentation(pres: Presentation, v: str):
-    """Split vertex ``v`` into a primed pair, duplicating what touches it."""
+    """Split vertex ``v`` into a primed pair, duplicating what touches it;
+    one presentation object is built per base object and vertex."""
+    return _built_once(pres, _blow, v)
+
+
+def _blow(pres: Presentation, v: str):
     q = pres.quiver
     if not q.has_vertex(v):
         raise InvalidDatum(f"blow vertex {v!r} not in quiver")
@@ -240,12 +262,13 @@ def build_presentation(d: NodalDatum):
     def compose_maps(old, step):
         return {k: tuple(n for x in names for n in step[x]) for k, names in old.items()}
 
+    # each step's base is new here, so nothing is kept on it
     for i, j in d.glue_pairs:
-        pres, vstep, astep = glue_presentation(pres, i, j)
+        pres, vstep, astep = _glue(pres, i, j, None)
         vmap = compose_maps(vmap, vstep)
         amap = compose_maps(amap, astep)
     for v in sorted(d.blow_vertices):
-        pres, vstep, astep = blow_presentation(pres, v)
+        pres, vstep, astep = _blow(pres, v)
         vmap = compose_maps(vmap, vstep)
         amap = compose_maps(amap, astep)
     return pres, GluedVertexMap(vmap, amap)

@@ -14,6 +14,7 @@ commutation relations (two parallel paths are declared equal).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 
@@ -251,6 +252,36 @@ class Presentation:
                     raise QuiverError("relation path lives in a different quiver")
             else:
                 raise QuiverError(f"unknown relation kind {type(r).__name__}")
+
+    @cached_property
+    def _key(self) -> tuple:
+        """Its hash and what the dataclass equality compared.  Every
+        relation path lies in ``quiver``, so the class, word and base of
+        its paths decide a relation."""
+        q = self.quiver
+        arrows = tuple((type(a), a.name, a.source, a.target) for a in q.arrows)
+        relations = frozenset(
+            (type(r),) + tuple((type(p), p.arrows, p.base) for p in (
+                (r.path,) if isinstance(r, MonomialZero) else (r.lhs, r.rhs)))
+            for r in self.relations)
+        key = (type(q), q.vertices, arrows, relations)
+        return hash(key), key
+
+    @cached_property
+    def _derived(self) -> dict:
+        """The presentations ``construct`` glued or blew up from this one,
+        keyed by operation and arguments."""
+        return {}
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._key[0]
 
     def zero_words(self) -> tuple[tuple[str, ...], ...]:
         ws = sorted(r.path.arrows for r in self.relations if isinstance(r, MonomialZero))

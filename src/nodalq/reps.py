@@ -54,6 +54,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import gt, mul
 from typing import NamedTuple
 
 from .construct import (
@@ -244,13 +245,35 @@ class Morphism:
 
 @dataclass(frozen=True)
 class HomSpace:
+    """Hom(source, target) with a basis of morphisms.
+
+    ``_flat`` holds each basis element's blocks flattened, block after
+    block and row by row.  ``hom_space`` keeps only those vectors and
+    forms ``basis`` from them on its first read."""
+
     source: Representation
     target: Representation
     basis: tuple[Morphism, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_flat", tuple(
+            tuple(x for b in f.blocks for row in b.rows for x in row) for f in self.basis))
+
+    def __getattr__(self, name):
+        # reached only while a solved space has not formed its basis
+        if name != "basis" or "_flat" not in self.__dict__:
+            raise AttributeError(name)
+        m, n = self.source, self.target
+        offsets, _ = _block_offsets(m, n)
+        object.__setattr__(self, "basis", tuple([Morphism(m, n, tuple([
+            Matrix(m.field, nd, md, tuple([vec[o + i * md:o + i * md + md] for i in range(nd)]))
+            for o, nd, md in zip(offsets, n.dims, m.dims)
+        ])) for vec in self._flat]))
+        return self.basis
+
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._flat)
 
 
 def identity_morphism(m: Representation) -> Morphism:
@@ -280,6 +303,16 @@ def combine_morphisms(hom: HomSpace, coeffs) -> Morphism:
     return Morphism(hom.source, hom.target, tuple(blocks))
 
 
+def _block_offsets(m: Representation, n: Representation):
+    """Where each block f_v starts among the flat coordinates of a map
+    m -> n, block after block and row by row, and how many there are."""
+    offsets, pos = [], 0
+    for nd, md in zip(n.dims, m.dims):
+        offsets.append(pos)
+        pos += nd * md
+    return offsets, pos
+
+
 def hom_space(m: Representation, n: Representation) -> HomSpace:
     """Solve the intertwining equations f.mat(a) = mat(a).f exactly.
 
@@ -293,11 +326,7 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
     q = m.pres.quiver
     field = m.field
     z, mod = field.coerce(0), field.modulus
-    offsets = []
-    pos = 0
-    for nd, md in zip(n.dims, m.dims):
-        offsets.append(pos)
-        pos += nd * md
+    offsets, pos = _block_offsets(m, n)
     zero = [z] * pos
     rows = []
     for (si, ti), ma, na in zip(q.arrow_ends, m.mats, n.mats):
@@ -317,15 +346,11 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
                 else:
                     row[fs + j:fs + j + ns * ms:ms] = neg
                 rows.append(tuple(row))
-    system = Matrix(field, len(rows), pos, tuple(rows))
-    basis = []
-    for vec in system.nullspace():
-        blocks = tuple([
-            Matrix(field, nd, md, tuple([vec[o + i * md:o + i * md + md] for i in range(nd)]))
-            for o, nd, md in zip(offsets, n.dims, m.dims)
-        ])
-        basis.append(Morphism(m, n, blocks))
-    return HomSpace(m, n, tuple(basis))
+    hom = object.__new__(HomSpace)
+    object.__setattr__(hom, "source", m)
+    object.__setattr__(hom, "target", n)
+    object.__setattr__(hom, "_flat", Matrix(field, len(rows), pos, tuple(rows)).nullspace())
+    return hom
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +410,7 @@ def _find_split(m: Representation, u: Representation):
     if any(du > dm for du, dm in zip(u.dims, m.dims)):
         return None
     into = hom_space(u, m)
-    if not into.basis:
+    if not into.dim:
         return None
     back = hom_space(m, u)
     for f in into.basis:
@@ -528,8 +553,7 @@ def _top_of(m) -> _Top:
     and the functionals vanishing on the radical take them onto E(m)."""
     field, n = m.field, m._end.dim
     positions = [(v, i, j) for v, d in enumerate(m.dims) for i in range(d) for j in range(d)]
-    flat = Matrix(field, n, len(positions), tuple(
-        tuple(x for b in f.blocks for row in b.rows for x in row) for f in m._end.basis))
+    flat = Matrix(field, n, len(positions), m._end._flat)
     pivots = sorted(flat._reduced())
     square = Matrix(field, n, n, tuple(tuple(row[c] for c in pivots) for row in flat.rows))
     rad = _radical(m)
@@ -556,15 +580,30 @@ def _residue(m, g, f) -> list:
 def _top_rank(m: Representation, n: Representation) -> int:
     """dim Hom(m, n)/rad(m, n): f is radical exactly when every g.f with
     g in Hom(n, m) is radical in End(m), so this is the rank of
-    f -> (residue of g.f)_g over bases of Hom(m, n) and Hom(n, m)."""
+    f -> (residue of g.f)_g over bases of Hom(m, n) and Hom(n, m).
+
+    Each coordinate c of the residue of g.f is a linear functional on
+    the flat coordinates of f: entry (i, j) of g_v.f_v is the sum over k
+    of g_v[i][k] f_v[k][j], weighted by the top's weight at (v, i, j).
+    So the pairing is a set of dot products."""
     into = hom_space(m, n)
-    if not into.basis:
+    if not into.dim:
         return 0
     back = hom_space(n, m)
-    # _residue reduces its coordinates, so the pairing needs no coercion
-    return Matrix(m.field, into.dim, back.dim * m._top.dim, tuple([
-        tuple([x for g in back.basis for x in _residue(m, g.blocks, f.blocks)])
-        for f in into.basis
+    top, mod = m._top, m.field.modulus
+    offsets, size = _block_offsets(m, n)  # the same for maps n -> m
+    functionals = []
+    for g in back._flat:
+        rows = [[0] * size for _ in range(top.dim)]
+        for (v, i, j), w in zip(top.entries, top.weights):
+            start, nd, md = offsets[v], n.dims[v], m.dims[v]
+            for k, x in enumerate(g[start + i * nd:start + i * nd + nd]):
+                if x:
+                    for row, y in zip(rows, w):
+                        row[start + k * md + j] += x * y
+        functionals += rows
+    return Matrix(m.field, into.dim, len(functionals), tuple([
+        tuple([sum(map(mul, f, row)) % mod for row in functionals]) for f in into._flat
     ])).rank()
 
 
@@ -674,17 +713,19 @@ def decompose(m: Representation, catalog) -> tuple[int, ...]:
     for u in {(id(u.pres), id(u.field)): u for u in catalog}.values():
         if u.pres != m.pres or u.field != m.field:
             raise ShapeMismatch("catalog classes must live over the presentation and field of m")
+    totals = [u.total for u in catalog]
     counts = [0] * len(catalog)
     left, ranks = list(m.dims), list(m._ranks)
     simples = []  # (class index, vertex index)
-    for k, u in sorted(enumerate(catalog), key=lambda ku: -ku[1].total):
+    # reverse keeps the catalog order among equal totals
+    for k in sorted(range(len(catalog)), key=totals.__getitem__, reverse=True):
         if not any(left):
             break
+        u = catalog[k]
         # a zero class has a zero top and counts nothing
-        if (u.total == 0 or any(a > b for a, b in zip(u.dims, left))
-                or any(a > b for a, b in zip(u._ranks, ranks))):
+        if not totals[k] or any(map(gt, u.dims, left)) or any(map(gt, u._ranks, ranks)):
             continue
-        if u.total == 1 and not any(u._ranks):
+        if totals[k] == 1 and not any(u._ranks):
             simples.append((k, u.dims.index(1)))
             continue
         counts[k] = _top_rank(u, m) // u._top.dim

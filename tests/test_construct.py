@@ -116,6 +116,40 @@ def test_merged_id_collisions_rewrap():
     assert "((a b))" in pres.quiver.vertices
 
 
+def test_gluing_and_blowing_up_build_one_presentation_per_base():
+    base = hereditary(line_quiver(3))
+    for build, args in ((glue_presentation, ("v0", "v2")), (glue_presentation, ("v0", "v2", "w")),
+                        (blow_presentation, ("v1",))):
+        first = build(base, *args)
+        again = build(base, *args)
+        assert again[0] is first[0]
+        # the maps are the caller's to change
+        again[1].clear()
+        again[2]["va0"] = ("x",)
+        third = build(base, *args)
+        assert third[1:] == first[1:] and third[1] is not first[1]
+        # an equal base built apart has no stored result: an uncached build
+        fresh = build(hereditary(line_quiver(3)), *args)
+        assert fresh[0] is not first[0] and fresh[1:] == first[1:]
+        assert (fresh[0].quiver, fresh[0].relations) == (first[0].quiver, first[0].relations)
+    assert glue_presentation(base, "v0", "v2", "w")[0].quiver.vertices == ("w", "v1")
+    # a result is a base of its own
+    glued = glue_presentation(base, "v0", "v2")[0]
+    assert blow_presentation(glued, "v1")[0] is blow_presentation(glued, "v1")[0]
+
+
+def test_a_refused_gluing_or_blow_up_is_refused_again():
+    base = hereditary(line_quiver(2))
+    looped = glue_presentation(base, "v0", "v1")[0]  # va0 becomes a loop
+    for _ in range(2):
+        with pytest.raises(InvalidDatum, match="carries a loop"):
+            blow_presentation(looped, "(v0 v1)")
+        with pytest.raises(InvalidDatum, match="to itself"):
+            glue_presentation(base, "v0", "v0")
+        with pytest.raises(InvalidDatum, match="not in quiver"):
+            blow_presentation(base, "v7")
+
+
 def test_validate_reports_problems():
     q = line_quiver(4)
     ok = validate(NodalDatum(q, (("v0", "v2"),), ("v3",)))

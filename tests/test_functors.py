@@ -51,6 +51,20 @@ def test_glue_blocks_are_laid_out_in_call_order():
     assert fm.mat("b").rows == ((0, 0, 1),)
 
 
+def test_push_forwards_build_one_target_quiver_each(monkeypatch):
+    # the target presentation is built once per base presentation and
+    # operation, however often a module is pushed along it
+    pres = hereditary(Quiver(("1", "i", "2"), (Arrow("a", "1", "i"), Arrow("b", "i", "2"))))
+    m = make_representation(pres, F3, {"1": 1, "i": 2, "2": 1}, {"a": [[1], [2]], "b": [[0, 1]]})
+    built = []
+    monkeypatch.setattr("nodalq.construct.Quiver",
+                        lambda *args: built.append(args) or Quiver(*args))
+    glued = [glue_induce(m, "1", "2").pres for _ in range(50)]
+    blown = [blow_induce(m, "i").pres for _ in range(50)]
+    assert len(built) == 2
+    assert all(p is glued[0] for p in glued) and all(p is blown[0] for p in blown)
+
+
 def test_glue_induce_needs_cross_free_pairs():
     m = make_representation(A2, F2, {"v0": 1, "v1": 1}, {"va0": [[1]]})
     with pytest.raises(ShapeMismatch):

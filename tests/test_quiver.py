@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from nodalq import (
@@ -27,7 +29,7 @@ from nodalq.quiver import (
     UnknownVertex,
 )
 
-from util import line_quiver
+from util import line_quiver, random_presentation, seeded
 
 
 def _star(center, leaves):
@@ -100,6 +102,64 @@ def test_presentation_orders_relations():
     p = Presentation(q, rels)
     assert p.zero_words() == (("a", "a"), ("b", "a"))
     assert p.commutation_pairs() == ((("a", "b"), ("b", "b")),)
+
+
+def _fields_equal(a, b):
+    """The comparison of a plain dataclass ``Presentation``."""
+    return (a.quiver, a.relations) == (b.quiver, b.relations)
+
+
+def _assert_identity_agrees(a, b):
+    want = _fields_equal(a, b)
+    assert (a == b) is want and (b == a) is want and (a != b) is not want
+    if want:
+        assert hash(a) == hash(b)
+    return want
+
+
+def test_presentation_identity_agrees_with_field_comparison():
+    # each seed built twice gives equal presentations on distinct quivers,
+    # and dropping a relation gives one on the same quiver object
+    made = [random_presentation(seeded(k)) for k in range(40) for _ in range(2)]
+    twins = sum(_assert_identity_agrees(a, b) for a, b in zip(made[::2], made[1::2]))
+    assert twins == 40 and all(a is not b for a, b in zip(made[::2], made[1::2]))
+    made += [Presentation(p.quiver, p.relations - {min(p.relations, key=repr)})
+             for p in made[::2] if p.relations]
+    assert len(made) > 100
+    equal = sum(_assert_identity_agrees(a, b) for a, b in itertools.combinations(made, 2))
+    assert equal == twins, equal
+    assert made[0] != (made[0].quiver, made[0].relations)
+
+
+def test_presentation_identity_tells_near_misses_apart():
+    def square(vertices=("1", "2", "3"), names="abcd"):
+        a, b, c, d = names
+        one, two, three = vertices
+        return Quiver(vertices, (Arrow(a, one, two), Arrow(b, two, three),
+                                 Arrow(c, one, two), Arrow(d, two, three)))
+
+    def rels(q, swap=False, more=False, base=None):
+        lhs, rhs = Path(q, ("b", "a")), Path(q, ("d", "c"))
+        out = {Commutation(rhs, lhs) if swap else Commutation(lhs, rhs),
+               MonomialZero(Path(q, ("d", "a"), base))}
+        if more:
+            out.add(MonomialZero(Path(q, ("b", "c"))))
+        return frozenset(out)
+
+    q = square()
+    p = Presentation(q, rels(q))
+    reordered = Quiver(q.vertices, q.arrows[1:] + q.arrows[:1])
+    renamed = square(("1", "2", "4"))
+    misses = [
+        Presentation(q, rels(q, swap=True)),
+        Presentation(q, rels(q, more=True)),
+        Presentation(reordered, rels(reordered)),
+        Presentation(renamed, rels(renamed)),
+        Presentation(q, rels(q, base="1")),  # a base the dataclass compared
+    ]
+    assert not any(_assert_identity_agrees(p, x) for x in misses)
+    rebuilt = square()
+    assert _assert_identity_agrees(p, Presentation(rebuilt, rels(rebuilt)))
 
 
 def test_hereditary_has_no_relations():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from nodalq import (
     Representation,
     SearchSpaceTooLarge,
     ShapeMismatch,
+    blow_induce,
     build_presentation,
     check_relations,
     combine_morphisms,
@@ -48,7 +50,7 @@ from nodalq import (
 
 from nodalq.linalg import all_matrices, block_diag, rank_forms, similarity_forms
 from nodalq.quiver import QuiverError
-from nodalq.reps import _compositions, _glue_blocks, _radical, _weighted_multisets
+from nodalq.reps import _compositions, _glue_blocks, _radical, _top_rank, _weighted_multisets
 from util import (
     closure_catalog,
     decompose_by_peeling,
@@ -67,6 +69,7 @@ from util import (
     split_summand_by_idempotent,
     strip_simple_summands_by_splitting,
     strip_simple_summands_vertex_by_vertex,
+    top_rank_by_residues,
     unpruned_candidates,
 )
 
@@ -180,6 +183,37 @@ def test_hom_space_matches_uidx_oracle():
         assert len(classes) > 5
         for m, n in itertools.product(classes, repeat=2):
             _assert_same_hom_basis(m, n)
+
+
+def test_hom_space_contract_holds_before_and_after_the_basis_is_formed():
+    # a solved space forms its basis on first read, a hand-built one has
+    # it from the start; dim, equality, hash, repr and immutability agree
+    m = make_representation(A2, F3, {"v0": 2, "v1": 1}, {"va0": [[1, 2]]})
+    n = direct_sum(m, simple_representation(A2, F3, "v1"))
+    oracle = hom_space_by_uidx(m, n)
+    built = HomSpace(m, n, oracle.basis)
+    assert built.dim == len(oracle.basis) > 1
+    solved = hom_space(m, n)
+    assert solved.dim == built.dim  # before the first read of basis
+    for space in (solved, hom_space(m, n)):
+        with pytest.raises(FrozenInstanceError):
+            space.basis = oracle.basis
+        with pytest.raises(FrozenInstanceError):
+            del space.basis
+    assert hom_space(m, n) == built and built == hom_space(m, n)  # equality reads basis
+    assert [[b.rows for b in f.blocks] for f in solved.basis] == [
+        [b.rows for b in f.blocks] for f in oracle.basis]
+    assert solved.basis is solved.basis and solved.dim == built.dim
+    assert hash(solved) == hash(built) and repr(solved) == repr(built)
+    assert repr(built).startswith("HomSpace(source=Representation(")
+    assert hom_space(n, m) != built
+    for space in (solved, built, hom_space(n, m)):
+        for name in ("source", "target", "basis", "dim"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(space, name, None)
+    assert hom_space(m, m).dim == HomSpace(m, m, hom_space(m, m).basis).dim
+    empty = hom_space(simple_representation(A2, F3, "v0"), simple_representation(A2, F3, "v1"))
+    assert empty.dim == 0 and empty.basis == () and empty == HomSpace(empty.source, empty.target, ())
 
 
 def test_index_maps_keep_vertices_and_arrows_apart():
@@ -554,6 +588,47 @@ def test_rank_pruning_matches_top_rank_oracles():
                 assert is_isomorphic(m, n) == is_isomorphic_by_top_rank(m, n), name
                 unequal += m._ranks != n._ranks
     assert loops_seen == 9 and unequal >= 50, (loops_seen, unequal)
+
+
+def test_flat_top_rank_matches_residue_oracle():
+    # random modules with loops, parallel arrows and zero-dimensional
+    # vertices, some pushed through a blow-up so that they satisfy
+    # commutations, and direct sums repeating a summand
+    rng = seeded(16)
+    fields = [F2, F3, GF(5), QQ]
+    seen = dict.fromkeys(("loop", "parallel", "zero vertex", "commutation", "repeated",
+                          "top rank"), 0)
+    for trial in range(100):
+        q = _random_quiver(rng)
+        if trial % 3 == 0:  # a vertex m with arrows in and out, to blow up
+            q = Quiver(q.vertices + ("m",), q.arrows + (
+                Arrow("p", rng.choice(q.vertices), "m"), Arrow("r", "m", rng.choice(q.vertices))))
+        field = fields[trial % len(fields)]
+        m, n = (random_representation(hereditary(q), field, rng, max_dim=2) for _ in range(2))
+        if rng.random() < 0.5:
+            n = direct_sum(m, m) if rng.random() < 0.5 else direct_sum(direct_sum(m, n), m)
+            seen["repeated"] += 1
+        if "m" in q.vertices:
+            m, n = blow_induce(m, "m"), blow_induce(n, "m")
+            seen["commutation"] += bool(m.pres.commutation_pairs())
+        seen["loop"] += any(a.source == a.target for a in q.arrows)
+        ends = [(a.source, a.target) for a in q.arrows]
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["zero vertex"] += 0 in m.dims or 0 in n.dims
+        for a, b in ((m, n), (n, m), (m, m)):
+            rank = _top_rank(a, b)
+            assert rank == top_rank_by_residues(a, b), (a, b)
+            seen["top rank"] += rank > 0
+    assert min(seen.values()) >= 30, seen
+    # a loop carrying the companion matrix of x^2 + x + 1 over GF(2):
+    # E(u) is GF(4), of dimension 2
+    u = make_representation(FREE_LOOP, F2, {"x": 2}, {"a": [[0, 1], [1, 1]]})
+    s = make_representation(FREE_LOOP, F2, {"x": 1}, {"a": [[1]]})
+    sums = [u, s, direct_sum(u, u), direct_sum(u, s), direct_sum(direct_sum(u, s), u)]
+    assert u._top.dim == 2
+    for a, b in itertools.product(sums, repeat=2):
+        assert _top_rank(a, b) == top_rank_by_residues(a, b)
+    assert [_top_rank(u, b) for b in sums] == [2, 0, 4, 2, 4]
 
 
 def test_arrow_ranks_are_kept_by_base_change_and_add_over_sums():

@@ -10,7 +10,9 @@ restarting from the first catalog class after every split.  The
 top-rank oracles are ``decompose`` and ``is_isomorphic`` before arrow
 ranks pruned their Hom solves: every class that fits the dimension
 vector, simples included, and every pair of equal dimension vectors is
-decided by the rank of the radical pairing.  The
+decided by the rank of the radical pairing.  They read that rank from
+``top_rank_by_residues``, which composes the blocks of every pair of
+Hom basis elements where the library pairs flat coordinates.  The
 isomorphism and indecomposability oracles sweep every coefficient
 vector on a hom basis, up to a cap, instead of reading the top of an
 endomorphism ring.
@@ -66,7 +68,6 @@ from nodalq.reps import (
     _compositions,
     _kernel_and_image,
     _section,
-    _top_rank,
     _weighted_multisets,
     check_relations,
     combine_morphisms,
@@ -563,6 +564,41 @@ def decompose_by_peeling(m, catalog) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# the top rank by residues of composed blocks, the reference for the flat
+# pairing; ``_top_rank`` and ``_residue`` before the pairing read flat
+# coordinates, kept as they were apart from the first name
+
+def _residue(m, g, f) -> list:
+    """Coordinates in E(m) of the residue of g.f, from the per-vertex
+    blocks of two morphisms composing to an endomorphism of m; only the
+    weighted entries of g.f are formed."""
+    top = m._top
+    mod = m.field.modulus
+    out = [m.field.coerce(0)] * top.dim
+    for (v, i, j), w in zip(top.entries, top.weights):
+        left, right = g[v].rows[i], f[v].rows
+        x = sum(a * right[k][j] for k, a in enumerate(left)) % mod
+        if x:
+            out = [o + x * y for o, y in zip(out, w)]
+    return [o % mod for o in out]
+
+
+def top_rank_by_residues(m: Representation, n: Representation) -> int:
+    """dim Hom(m, n)/rad(m, n): f is radical exactly when every g.f with
+    g in Hom(n, m) is radical in End(m), so this is the rank of
+    f -> (residue of g.f)_g over bases of Hom(m, n) and Hom(n, m)."""
+    into = hom_space(m, n)
+    if not into.basis:
+        return 0
+    back = hom_space(n, m)
+    # _residue reduces its coordinates, so the pairing needs no coercion
+    return Matrix(m.field, into.dim, back.dim * m._top.dim, tuple([
+        tuple([x for g in back.basis for x in _residue(m, g.blocks, f.blocks)])
+        for f in into.basis
+    ])).rank()
+
+
+# ---------------------------------------------------------------------------
 # decomposition and isomorphism by the top rank alone, the references for
 # the arrow-rank pruning
 
@@ -575,7 +611,7 @@ def decompose_by_top_rank(m, catalog) -> tuple[int, ...]:
         # a zero class has a zero top and counts nothing
         if u.total == 0 or any(a > b for a, b in zip(u.dims, left)):
             continue
-        counts[k] = _top_rank(u, m) // u._top.dim
+        counts[k] = top_rank_by_residues(u, m) // u._top.dim
         left = [a - counts[k] * b for a, b in zip(left, u.dims)]
     if any(left):
         raise ValueError(
@@ -592,7 +628,7 @@ def is_isomorphic_by_top_rank(m, n) -> bool:
         return False
     if m.total == 0:
         return True
-    rank = _top_rank(m, n)
+    rank = top_rank_by_residues(m, n)
     return rank > 0 and 2 * rank == m._top.dim + n._top.dim
 
 
