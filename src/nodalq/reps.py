@@ -40,13 +40,16 @@ The enumerators are:
   basis per (class, vertex) is computed once, and extension classes that
   visibly split are pruned before any Hom space is solved.
 
-Both enumerators decide a candidate by ``_is_local``, whose Fitting
-certificates settle nearly every candidate from End alone, and then only
+Both enumerators decide a candidate m by ``_is_local``, whose Fitting
+certificates settle nearly every candidate from End alone; a simple
+summand at v, counted as d - rk A - rk B + rk AB for A the arrows out of
+v stacked and B the arrows into v joined, rejects it first.  Then only
 classes of its own dimension vector, End dimension and arrow ranks can
-be isomorphic to it; those probes go through the basis-pair test of
-``has_summand``, which is exact for indecomposable probes and never
-samples.  End, its top, the local verdict and the arrow ranks are kept
-on the representation object, so a catalog class pays for them once.
+be isomorphic to it, and such a class u is isomorphic to m exactly when
+some basis element of Hom(u, m) is invertible at every vertex: one Hom
+solve per probe, exact and never sampled.  End, its top, the local
+verdict and the arrow ranks are kept on the representation object, so a
+catalog class pays for them once.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from .construct import (
     glue_presentation,
 )
 from .linalg import Matrix, all_matrices, block_diag, rank_forms, similarity_forms
-from .quiver import Presentation, _induced_quiver
+from .quiver import Presentation
 
 
 class ShapeMismatch(ValueError):
@@ -388,12 +391,37 @@ def _kernel_and_image(m: Representation, v: str):
 
 def simple_summand_multiplicity(m: Representation, v: str) -> int:
     """Multiplicity of the one-dimensional representation at ``v`` as a
-    direct summand: the part of the joint out-kernel sticking out of the
-    joint in-image."""
-    if m.dim(v) == 0:
+    direct summand: the part of the joint out-kernel K sticking out of
+    the joint in-image I, dim (K + I) - dim I.
+
+    With A the arrows out of v stacked and B the arrows into v joined,
+    K = ker A and I = im B, and K meets I in B(ker AB), of dimension
+    rk B - rk AB.  So the multiplicity is d - rk A - rk B + rk AB; the
+    rank of a single arrow is the one kept on ``m``."""
+    d = m.dim(v)
+    if d == 0:
         return 0
-    kernel, image = _kernel_and_image(m, v)
-    return kernel.hstack(image).rank() - image.ncols
+    k = m.pres.quiver.vertex_index[v]
+    ends = m.pres.quiver.arrow_ends
+
+    def joined(picked, join):
+        # the picked arrows joined, and its rank
+        if not picked:
+            return None, 0
+        if len(picked) == 1:
+            return m.mats[picked[0]], m._ranks[picked[0]]
+        x = m.mats[picked[0]]
+        for j in picked[1:]:
+            x = join(x, m.mats[j])
+        return x, x.rank()
+
+    a, rank_a = joined([j for j, (s, _) in enumerate(ends) if s == k], Matrix.vstack)
+    if rank_a == d:
+        return 0
+    b, rank_b = joined([j for j, (_, t) in enumerate(ends) if t == k], Matrix.hstack)
+    if rank_b == d:
+        return 0
+    return d - rank_a - rank_b + ((a * b).rank() if rank_a and rank_b else 0)
 
 
 def has_simple_summand_at(m: Representation, v: str) -> bool:
@@ -488,7 +516,7 @@ def strip_simple_summands(m: Representation, vertices):
 
 def _int_product(a, b, modulus):
     """Product of two square matrices given as integer row lists."""
-    return [[sum(x * y for x, y in zip(row, col)) % modulus for col in zip(*b)] for row in a]
+    return [[sum(map(mul, row, col)) % modulus for col in zip(*b)] for row in a]
 
 
 def _radical(m) -> tuple[tuple, ...]:
@@ -607,14 +635,27 @@ def _top_rank(m: Representation, n: Representation) -> int:
     ])).rank()
 
 
-def _fitting_power(block: Matrix) -> Matrix:
-    """``block`` raised to a power at least its size, by squaring: its
-    kernel and image have stopped changing there."""
+def _nilpotent(block, p) -> bool:
+    """Whether a square block of residues mod ``p``, as a row list, is
+    nilpotent: raised by squaring to a power at least its size, where
+    its kernel and image have stopped changing, it is zero."""
     size = 1
-    while size < block.nrows:
-        block = block * block
+    while size < len(block):
+        block = _int_product(block, block, p)
         size *= 2
-    return block
+    return not any(map(any, block))
+
+
+def _square_blocks(m, vec) -> list:
+    """The blocks of a flat map between two modules of the dimension
+    vector of ``m``, as row tuples, at the vertices where it is nonzero."""
+    offsets, _ = _block_offsets(m, m)
+    return [tuple([vec[o + i * d:o + i * d + d] for i in range(d)])
+            for o, d in zip(offsets, m.dims) if d]
+
+
+def _invertible(field, block) -> bool:
+    return Matrix(field, len(block), len(block), block).rank() == len(block)
 
 
 def _is_local(m):
@@ -629,7 +670,8 @@ def _is_local(m):
     chain m > Jm > J^2 m > ... reaching zero.  Then the products of
     elements of J span a nilpotent ideal, which misses 1 and so is J
     itself: J is the radical, End/J is the prime field, and m is
-    absolutely indecomposable.
+    absolutely indecomposable.  Both certificates read the blocks of the
+    flat End basis as residue rows.
 
     A b with no nilpotent shift (a residue field larger than GF(p)), a
     chain that stalls, or the field QQ leaves it to the top, a product
@@ -644,33 +686,39 @@ def _is_local(m):
     field = m.field
     if field.size is None:
         return True if m._top.dim == 1 else None
-    ones = [Matrix.identity(field, d) for d in m.dims]
-    nilpotent = []
-    for b in end.basis:
-        for lam in field.elements():
-            h = [x - one.scale(lam) for x, one in zip(b.blocks, ones)]
-            power = [_fitting_power(x) for x in h]
-            if all(x.is_zero() for x in power):
-                nilpotent.append(h)
-                break
-            if not all(x.is_invertible() for x in power):
+    p = field.size
+    nilpotent = []  # per nilpotent shift, its blocks
+    for vec in end._flat:
+        blocks = _square_blocks(m, vec)
+        for lam in range(p):
+            h = [tuple([r[:i] + ((r[i] - lam) % p,) + r[i + 1:] for i, r in enumerate(b)])
+                 for b in blocks]
+            # an invertible block is not nilpotent, so an invertible h
+            # moves on to the next shift
+            if all(_invertible(field, x) for x in h):
+                continue
+            if not all(_nilpotent(x, p) for x in h):
                 return False
+            nilpotent.append(h)
+            break
     if len(nilpotent) == end.dim:
-        layer = ones  # per vertex, a column basis of J^k m
-        while any(w.ncols for w in layer):
+        sizes = [len(b) for b in nilpotent[0]]
+        # per vertex, the rows of a basis of J^k m, from J^0 m = m
+        layer = [[[int(i == j) for j in range(d)] for i in range(d)] for d in sizes]
+        while any(layer):
             below = []
-            for v, w in enumerate(layer):
-                span = Matrix.zeros(field, m.dims[v], 0)
-                for h in nilpotent:
-                    span = span.hstack(h[v] * w)
-                below.append(span.column_space_basis())
-            if sum(w.ncols for w in below) == sum(w.ncols for w in layer):
+            for v, (d, w) in enumerate(zip(sizes, layer)):
+                images = tuple([tuple([sum(map(mul, row, x)) % p for row in h[v]])
+                                for h in nilpotent for x in w])
+                below.append(list(Matrix(field, len(images), d, images)._reduced().values()))
+            if sum(map(len, below)) == sum(map(len, layer)):
                 break
             layer = below
         else:
             return True
     # the residues of the End basis span the top
     basis = [b.blocks for b in end.basis]
+    ones = [Matrix.identity(field, d) for d in m.dims]
     if any(_residue(m, a, b) != _residue(m, b, a)
            for a, b in itertools.combinations(basis, 2)):
         return False
@@ -937,16 +985,26 @@ def _compositions(total, parts):
         yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
+def _is_isomorphic_to_indecomposable(m, u) -> bool:
+    """Whether ``m`` is isomorphic to the indecomposable ``u`` of its
+    dimension vector, from one Hom solve: exactly when some basis element
+    of Hom(u, m) is invertible at every vertex.  For an isomorphism
+    phi: u -> m the maps that are not isomorphisms form phi.rad End(u),
+    End(u) being local, and no basis lies in that proper subspace."""
+    return any(all(_invertible(m.field, b) for b in _square_blocks(m, vec))
+               for vec in hom_space(u, m)._flat)
+
+
 def _is_new_indecomposable(m, same_dimvec) -> bool:
     """Whether ``m`` is indecomposable and isomorphic to no module of
-    ``same_dimvec``; exact over GF(p), since ``has_summand`` is exact for
-    an indecomposable of the same dimension vector.  Classes of another
-    End dimension or other arrow ranks are skipped: isomorphic modules
-    have equal End dimensions and arrow ranks."""
+    ``same_dimvec``, indecomposables of its dimension vector; exact over
+    GF(p).  Classes of another End dimension or other arrow ranks are
+    skipped: isomorphic modules have equal End dimensions and arrow
+    ranks.  Each other class costs one Hom solve."""
     if not is_indecomposable(m):
         return False
     return not any(
-        has_summand(m, u) for u in same_dimvec
+        _is_isomorphic_to_indecomposable(m, u) for u in same_dimvec
         if u._end.dim == m._end.dim and u._ranks == m._ranks
     )
 
@@ -1008,6 +1066,21 @@ def _orbit_tuples(field, shapes, ends, relations):
             stack.append(all_matrices(field, *shapes[order[level + 1]]))
 
 
+def _connected_support(ends, dims) -> bool:
+    """Whether the vertices of nonzero dimension are connected through
+    the arrows between them, ``ends`` holding each arrow's (source,
+    target) positions; a walk from the first of them."""
+    support = {k for k, d in enumerate(dims) if d}
+    seen, stack = set(), [min(support)]
+    while stack:
+        k = stack.pop()
+        if k not in seen:
+            seen.add(k)
+            stack += [t if s == k else s for s, t in ends
+                      if k in (s, t) and s in support and t in support]
+    return seen == support
+
+
 def _scan_catalog(pres, field, max_total, budget):
     """Catalog, matrix tuples examined and tuples built; see
     ``enumerate_indecomposables``."""
@@ -1027,8 +1100,7 @@ def _scan_catalog(pres, field, max_total, budget):
     examined = tested = 0
     for total in range(1, max_total + 1):
         for dims in _compositions(total, len(q.vertices)):
-            support = {v for v, d in zip(q.vertices, dims) if d}
-            if len(_induced_quiver(q, support).undirected_components()) > 1:
+            if not _connected_support(ends, dims):
                 continue
             shapes = [(dims[ti], dims[si]) for si, ti in ends]
             cost = sum(r * c for r, c in shapes)

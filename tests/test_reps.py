@@ -50,8 +50,18 @@ from nodalq import (
 
 from nodalq.linalg import all_matrices, block_diag, rank_forms, similarity_forms
 from nodalq.quiver import QuiverError
-from nodalq.reps import _compositions, _glue_blocks, _radical, _top_rank, _weighted_multisets
+from nodalq.reps import (
+    _compositions,
+    _connected_support,
+    _glue_blocks,
+    _is_isomorphic_to_indecomposable,
+    _is_new_indecomposable,
+    _radical,
+    _top_rank,
+    _weighted_multisets,
+)
 from util import (
+    _support_connected,
     closure_catalog,
     decompose_by_peeling,
     decompose_by_top_rank,
@@ -60,12 +70,14 @@ from util import (
     is_indecomposable_by_sweep,
     is_isomorphic_by_sweep,
     is_isomorphic_by_top_rank,
+    is_local_by_matrices,
     is_new_indecomposable_by_probes,
     line_quiver,
     random_blow_datum,
     random_glue_datum,
     scan_catalog,
     seeded,
+    simple_summand_multiplicity_by_kernels,
     split_summand_by_idempotent,
     strip_simple_summands_by_splitting,
     strip_simple_summands_vertex_by_vertex,
@@ -271,6 +283,41 @@ def test_simple_summand_detection():
     assert counts == {v: 1}
     assert stripped.dims == free.dims
     assert is_isomorphic(stripped, free)
+
+
+def test_simple_summand_rank_formula_matches_kernel_oracle():
+    # random modules plus a simple repeated up to three times, base
+    # changed; quivers with loops, parallel arrows and vertices of
+    # dimension zero, and vertices with no, one and several arrows in
+    # and out
+    rng = seeded(20261022)
+    fields = [F2, F3, GF(5), QQ]
+    seen = dict.fromkeys(("loop", "parallel", "zero vertex", "repeated simple", "positive"), 0)
+    for side in ("in", "out"):
+        seen.update({(side, arity): 0 for arity in ("none", "one", "several")})
+    for trial in range(200):
+        q = _random_quiver(rng)
+        pres = hereditary(q)
+        field = fields[trial % len(fields)]
+        u = random_representation(pres, field, rng, max_dim=2)
+        v, copies = rng.choice(q.vertices), rng.randint(0, 3)
+        m = u
+        for _ in range(copies):
+            m = direct_sum(m, simple_representation(pres, field, v))
+        m = _base_changed(m, rng)
+        for w in q.vertices:
+            got = simple_summand_multiplicity(m, w)
+            assert got == simple_summand_multiplicity_by_kernels(m, w), (m, w)
+            assert got == simple_summand_multiplicity_by_kernels(u, w) + copies * (w == v)
+            seen["positive"] += got > 0
+            for side, arrows in (("in", q.in_arrows(w)), ("out", q.out_arrows(w))):
+                seen[side, ("none", "one", "several")[min(len(arrows), 2)]] += m.dim(w) > 0
+        seen["repeated simple"] += copies > 1
+        seen["loop"] += any(a.source == a.target for a in q.arrows)
+        ends = [(a.source, a.target) for a in q.arrows]
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["zero vertex"] += 0 in m.dims
+    assert min(seen.values()) > 20, seen
 
 
 def test_strip_simple_summands_at_several_vertices(monkeypatch):
@@ -969,6 +1016,23 @@ def test_scan_normalises_large_arrows():
     )
 
 
+def test_scan_support_walk_matches_connectivity_oracle():
+    # every dimension vector up to total 4 of the corpus quivers, glued
+    # and unglued
+    seen = {True: 0, False: 0}
+    for path in sorted((Path(__file__).resolve().parent.parent / "data").glob("*.datum")):
+        if path.stem == "invalid":
+            continue
+        datum = parse_datum(path.read_text())
+        for q in (build_presentation(datum)[0].quiver, datum.base):
+            for total in range(1, 5):
+                for dims in _compositions(total, len(q.vertices)):
+                    want = _support_connected(q, dims)
+                    assert _connected_support(q.arrow_ends, dims) is want, (path.stem, dims)
+                    seen[want] += 1
+    assert min(seen.values()) > 500, seen
+
+
 def test_end_ring_certificate_agrees_with_summand_probes():
     cases = [
         (_corpus_presentation("except_100"), F2, 5),
@@ -988,6 +1052,7 @@ def test_end_ring_certificate_agrees_with_summand_probes():
         verdicts = {True: [], False: [], None: []}
         for m in unpruned_candidates(pres, field, catalog, total, 64):
             verdicts[m._local].append(m)
+            assert is_local_by_matrices(m) is m._local, m.dims
         for local, ms in verdicts.items():
             tally[local] += len(ms)
         # nearly every unpruned candidate splits: check a sample of those
@@ -1015,6 +1080,7 @@ def test_end_ring_certificate_decides_or_falls_back(monkeypatch):
         kronecker, F2, {"1": 2, "2": 2}, {"a": [[1, 0], [0, 1]], "b": [[0, 1], [1, 1]]})
     assert hom_space(quadratic, quadratic).dim == 2
     assert quadratic._local is True and quadratic._top.dim == 2
+    assert is_local_by_matrices(quadratic) is True
     catalog = enumerate_indecomposables(kronecker, F2, 4, budget=64, method="closure")
     assert sum(has_summand(c, quadratic) for c in catalog.classes if c.dims == (2, 2)) == 1
     # split modules: End(S + S) is a full matrix ring, and End(P + S)
@@ -1032,7 +1098,7 @@ def test_end_ring_certificate_decides_or_falls_back(monkeypatch):
         for rows in ([[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [2, 0]])
     ))
     monkeypatch.setattr("nodalq.reps.hom_space", lambda m, n: rebased)
-    assert twice._local is False
+    assert twice._local is False and is_local_by_matrices(twice) is False
     monkeypatch.undo()
     # the dual numbers as a module over themselves: End is local of dimension 2
     free = make_representation(_dual_numbers(), F3, {"(v0 v1)": 2}, {"va0": [[0, 0], [1, 0]]})
@@ -1181,6 +1247,70 @@ def test_frobenius_splits_a_commutative_top_of_two_fields(monkeypatch):
         assert all(f.block("2") * m.mat(a) == m.mat(a) * f.block("1") for a in ("a", "b"))
     monkeypatch.setattr("nodalq.reps.hom_space", lambda m, n: rebased)
     assert m._top.dim == 4 and m._local is False
+    assert is_local_by_matrices(m) is False
+
+
+def test_one_solve_probe_agrees_with_isomorphism_and_summand_tests():
+    # each class against a base-changed copy of itself and against every
+    # other class of its dimension vector; the Kronecker catalogs hold
+    # classes with residue fields GF(4) and GF(9)
+    rng = seeded(18)
+    cases = [(KRONECKER, F2, 4), (KRONECKER, F3, 4), (_corpus_presentation("except_100"), F2, 4),
+             (_corpus_presentation("kronecker_glue"), F3, 4),
+             (_corpus_presentation("blown_chain"), F2, 4)]
+    seen = {True: 0, False: 0, "wide": 0}
+    for pres, field, bound in cases:
+        catalog = enumerate_indecomposables(pres, field, bound, budget=64, method="closure").classes
+        for u in catalog:
+            others = [n for n in catalog if n.dims == u.dims and n is not u]
+            for m, want in [(_base_changed(u, rng), True)] + [(n, False) for n in others]:
+                assert _is_isomorphic_to_indecomposable(m, u) is want, (field, u.dims)
+                assert is_isomorphic(m, u) is want and has_summand(m, u) is want
+                seen[want] += 1
+                seen["wide"] += u._top.dim > 1
+    assert seen[True] > 50 and seen[False] > 100 and seen["wide"] > 20, seen
+
+
+def test_is_new_indecomposable_matches_probe_oracle():
+    # the closure oracle's candidates, decided both ways against the
+    # classes found before them
+    cases = [(_corpus_presentation("except_100"), F2, 4), (_corpus_presentation("super_00"), F3, 3),
+             (_corpus_presentation("kronecker_glue"), F3, 3),
+             (_corpus_presentation("blown_chain"), F2, 4), (KRONECKER, F2, 4), (KRONECKER, F3, 4)]
+    seen = {"new": 0, "isomorphic": 0, "split": 0}
+    for pres, field, total in cases:
+        catalog, _ = closure_catalog(pres, field, total - 1, 64)
+        found = []
+        for m in unpruned_candidates(pres, field, catalog, total, 64):
+            same = [u for u in found if u.dims == m.dims]
+            new = _is_new_indecomposable(m, same)
+            assert new is is_new_indecomposable_by_probes(m, catalog, same), m.dims
+            if new:
+                found.append(m)
+            seen["new" if new else "isomorphic" if m._local else "split"] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def test_each_surviving_probe_solves_one_hom_space(monkeypatch):
+    # the points (1, 0), (0, 1), (1, 1) and (1, 2) of the projective line
+    # over GF(3) as Kronecker modules; m = (2, 1) is the point (1, 2).
+    # Only the points whose two arrows both have rank one survive the
+    # rank filter, and each costs Hom(point, m) alone
+    def point(a, b):
+        return make_representation(KRONECKER, F3, {"1": 1, "2": 1}, {"a": [[a]], "b": [[b]]})
+
+    p10, p01, p11, p12 = (point(*ab) for ab in ((1, 0), (0, 1), (1, 1), (1, 2)))
+    m = point(2, 1)
+    for x in (p10, p01, p11, p12, m):  # End, ranks and the local verdict, solved up front
+        assert x._local is True and x._ranks
+    calls = []
+    monkeypatch.setattr("nodalq.reps.hom_space",
+                        lambda a, b: calls.append((a, b)) or hom_space(a, b))
+    assert _is_new_indecomposable(m, [p10, p01, p11])
+    assert calls == [(p11, m)]
+    calls.clear()
+    assert not _is_new_indecomposable(m, [p10, p11, p12, p01])
+    assert calls == [(p11, m), (p12, m)]
 
 
 def test_enumerate_representatives_are_certified():

@@ -20,7 +20,11 @@ The closure oracle is the unpruned extension enumerator: it builds every
 nonzero extension class of every direct sum of smaller classes.  The
 scan oracle builds every matrix tuple of every dimension vector.  Both
 decide each candidate by probing every smaller class as a summand, never
-by the End-ring certificate the enumerators under test use.
+by the End-ring certificate the enumerators under test use, and count
+simple summands from kernel and image bases, never by the rank formula
+of ``simple_summand_multiplicity``.  The local oracle is ``_is_local``
+before its Fitting shifts and radical chain read the flat End basis: it
+forms every shift as ``Matrix`` blocks of a ``Morphism``.
 The dispatch oracle is the field kernel that the single reduction rule
 of ``nodalq.linalg`` replaced: field objects with per-element method
 tables, called entry by entry.
@@ -73,13 +77,11 @@ from nodalq.reps import (
     combine_morphisms,
     compose_morphisms,
     direct_sum,
-    has_simple_summand_at,
     has_summand,
     hom_space,
     identity_morphism,
     path_matrix,
     simple_representation,
-    simple_summand_multiplicity,
     split_summand,
 )
 
@@ -443,11 +445,26 @@ def seeded(seed):
 
 
 # ---------------------------------------------------------------------------
+# simple summands by kernel and image bases, the reference for the rank
+# formula; ``simple_summand_multiplicity`` before it, kept as it was
+# apart from its name
+
+def simple_summand_multiplicity_by_kernels(m: Representation, v: str) -> int:
+    """Multiplicity of the one-dimensional representation at ``v`` as a
+    direct summand: the part of the joint out-kernel sticking out of the
+    joint in-image."""
+    if m.dim(v) == 0:
+        return 0
+    kernel, image = _kernel_and_image(m, v)
+    return kernel.hstack(image).rank() - image.ncols
+
+
+# ---------------------------------------------------------------------------
 # the summand-probe decision, the reference for the End-ring certificate
 
 def is_new_indecomposable_by_probes(m, catalog, same_dimvec) -> bool:
     if m.total > 1:
-        if any(has_simple_summand_at(m, v) for v in m.pres.quiver.vertices):
+        if any(simple_summand_multiplicity_by_kernels(m, v) for v in m.pres.quiver.vertices):
             return False
         for u in catalog:
             if u.total < m.total and all(a <= b for a, b in zip(u.dims, m.dims)):
@@ -515,7 +532,7 @@ def is_indecomposable_by_sweep(m, cap: int = 2 ** 20) -> bool:
     if m.total == 1:
         return True
     for v in m.pres.quiver.vertices:
-        if has_simple_summand_at(m, v):
+        if simple_summand_multiplicity_by_kernels(m, v):
             return False  # total > 1, so a splitting simple is proper
     end = hom_space(m, m)
     if end.dim == 1:
@@ -596,6 +613,88 @@ def top_rank_by_residues(m: Representation, n: Representation) -> int:
         tuple([x for g in back.basis for x in _residue(m, g.blocks, f.blocks)])
         for f in into.basis
     ])).rank()
+
+
+# ---------------------------------------------------------------------------
+# the local test on Morphism blocks, the reference for the flat one;
+# ``_fitting_power`` and ``_is_local`` before the Fitting shifts and the
+# radical chain read the flat End basis, kept as they were apart from the
+# second name
+
+def _fitting_power(block: Matrix) -> Matrix:
+    """``block`` raised to a power at least its size, by squaring: its
+    kernel and image have stopped changing there."""
+    size = 1
+    while size < block.nrows:
+        block = block * block
+        size *= 2
+    return block
+
+
+def is_local_by_matrices(m):
+    """Whether End(m) is local, that is m indecomposable: True, False, or
+    None over QQ where the top has dimension above one.
+
+    Over GF(p) two cheap certificates come first.  By Fitting's lemma an
+    endomorphism h splits m as ker h^N + im h^N, so a shift b - λ of an
+    End basis element b that is neither nilpotent nor invertible proves
+    End not local.  If every b has a nilpotent shift, End = k.1 + J with
+    J the span of those shifts.  Local needs J nilpotent, seen as the
+    chain m > Jm > J^2 m > ... reaching zero.  Then the products of
+    elements of J span a nilpotent ideal, which misses 1 and so is J
+    itself: J is the radical, End/J is the prime field, and m is
+    absolutely indecomposable.
+
+    A b with no nilpotent shift (a residue field larger than GF(p)), a
+    chain that stalls, or the field QQ leaves it to the top, a product
+    of matrix rings over division rings, which is local exactly when it
+    is a division ring.  Over GF(p) that means a field: the top is
+    commutative, and x -> x^p - x, which fixes one copy of GF(p) in each
+    field factor of a commutative top, has a one-dimensional kernel.
+    """
+    end = m._end
+    if end.dim <= 1:
+        return end.dim == 1  # the zero module has End 0
+    field = m.field
+    if field.size is None:
+        return True if m._top.dim == 1 else None
+    ones = [Matrix.identity(field, d) for d in m.dims]
+    nilpotent = []
+    for b in end.basis:
+        for lam in field.elements():
+            h = [x - one.scale(lam) for x, one in zip(b.blocks, ones)]
+            power = [_fitting_power(x) for x in h]
+            if all(x.is_zero() for x in power):
+                nilpotent.append(h)
+                break
+            if not all(x.is_invertible() for x in power):
+                return False
+    if len(nilpotent) == end.dim:
+        layer = ones  # per vertex, a column basis of J^k m
+        while any(w.ncols for w in layer):
+            below = []
+            for v, w in enumerate(layer):
+                span = Matrix.zeros(field, m.dims[v], 0)
+                for h in nilpotent:
+                    span = span.hstack(h[v] * w)
+                below.append(span.column_space_basis())
+            if sum(w.ncols for w in below) == sum(w.ncols for w in layer):
+                break
+            layer = below
+        else:
+            return True
+    # the residues of the End basis span the top
+    basis = [b.blocks for b in end.basis]
+    if any(_residue(m, a, b) != _residue(m, b, a)
+           for a, b in itertools.combinations(basis, 2)):
+        return False
+    frobenius = []
+    for b in basis:
+        power = b
+        for _ in range(field.size - 2):
+            power = [x * y for x, y in zip(power, b)]
+        frobenius.append([x - y for x, y in zip(_residue(m, power, b), _residue(m, ones, b))])
+    return Matrix.from_rows(field, frobenius).rank() == m._top.dim - 1
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +793,7 @@ def strip_simple_summands_by_splitting(m: Representation, vertices):
         # splitting a summand off creates no new simple summand
         # (Krull-Schmidt), so the multiplicity counts every split at v
         simple = simple_representation(m.pres, m.field, v)
-        for _ in range(simple_summand_multiplicity(cur, v)):
+        for _ in range(simple_summand_multiplicity_by_kernels(cur, v)):
             cur = split_summand_by_idempotent(cur, simple)
             counts[v] += 1
     return cur, counts
