@@ -25,7 +25,8 @@ The rank of every arrow matrix, kept on the representation object, is a
 cheaper invariant: base change keeps it and it adds over direct sums.
 So ``is_isomorphic`` tells modules of different ranks apart, and
 ``decompose`` skips a class whose ranks do not fit into what is left,
-without solving a Hom space; it counts the simples without one too.
+without solving a Hom space; both count the simples without one too,
+and ``is_isomorphic`` reads tops only of what is left without them.
 The enumerators are:
 
 * ``scan`` meets every matrix tuple per dimension vector up to base
@@ -152,6 +153,21 @@ class Representation:
         additive over direct sums, so a summand's ranks fit into the
         module's."""
         return tuple(x.rank() for x in self.mats)
+
+    @cached_property
+    def _simples(self) -> tuple[int, ...]:
+        """The multiplicity of the simple at every vertex as a summand,
+        from ranks alone."""
+        return tuple(simple_summand_multiplicity(self, v) for v in self.pres.quiver.vertices)
+
+    @cached_property
+    def _rest(self) -> "Representation":
+        """``self`` with its simple summands split off, or ``self`` when
+        it has none, so that its End ring and top are kept."""
+        if not any(self._simples):
+            return self
+        vertices = self.pres.quiver.vertices
+        return strip_simple_summands(self, [v for v, c in zip(vertices, self._simples) if c])[0]
 
 
 def make_representation(pres: Presentation, field, dims, mats) -> Representation:
@@ -792,20 +808,28 @@ def decompose(m: Representation, catalog) -> tuple[int, ...]:
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:
-    """Exact isomorphism test from the tops of the endomorphism rings.
+    """Exact isomorphism test from the tops of the endomorphism rings of
+    the parts without simple summands.
 
-    Isomorphic modules have equal dimension vectors and arrow ranks, so
-    modules differing there are told apart without a Hom solve.
-    Otherwise, with a_i and b_i the multiplicities of U_i in m and in n,
-    dim E(m) + dim E(n) - 2 dim Hom(m, n)/rad is the sum of (a_i - b_i)^2
-    d_i, which vanishes exactly when m and n are isomorphic.
+    Isomorphic modules have equal dimension vectors, arrow ranks and
+    simple multiplicities, read off ranks by
+    ``simple_summand_multiplicity``, so modules differing there are told
+    apart without a Hom solve, and two semisimple modules agreeing there
+    are isomorphic.  Otherwise, by Krull-Schmidt, m and n are isomorphic
+    exactly when their parts m', n' without simple summands are, each
+    split off by one ``strip_simple_summands`` restriction and kept on
+    the module.  With a_i and b_i the multiplicities of U_i in m' and in
+    n', dim E(m') + dim E(n') - 2 dim Hom(m', n')/rad is the sum of
+    (a_i - b_i)^2 d_i, which vanishes exactly when m' and n' are
+    isomorphic.
     """
     if m.pres != n.pres or m.field != n.field:
         raise ShapeMismatch("comparison needs a common presentation and field")
-    if m.dims != n.dims or m._ranks != n._ranks:
+    if m.dims != n.dims or m._ranks != n._ranks or m._simples != n._simples:
         return False
-    if m.total == 0:
+    if sum(m._simples) == m.total:
         return True
+    m, n = m._rest, n._rest
     rank = _top_rank(m, n)
     return rank > 0 and 2 * rank == m._top.dim + n._top.dim
 
@@ -1081,6 +1105,14 @@ def _connected_support(ends, dims) -> bool:
     return seen == support
 
 
+def _built(pres, field, dims, mats) -> Representation:
+    """``Representation(pres, field, dims, mats)`` without the checks of
+    ``__post_init__``, for matrices already built to shape over ``field``."""
+    m = object.__new__(Representation)
+    vars(m).update(pres=pres, field=field, dims=dims, mats=mats)
+    return m
+
+
 def _scan_catalog(pres, field, max_total, budget):
     """Catalog, matrix tuples examined and tuples built; see
     ``enumerate_indecomposables``."""
@@ -1113,7 +1145,7 @@ def _scan_catalog(pres, field, max_total, budget):
             found_here = []
             for mats in _orbit_tuples(field, shapes, ends, relations):
                 tested += 1
-                m = Representation(pres, field, dims, mats)
+                m = _built(pres, field, dims, mats)
                 if _is_new_indecomposable(m, found_here):
                     found_here.append(m)
             catalog.extend(found_here)

@@ -104,9 +104,10 @@ def linear_lookups(path: Path) -> list[str]:
     return found
 
 
-def test_reps_uses_quiver_index_maps():
+def test_src_uses_quiver_index_maps():
     # positions come from Quiver.vertex_index, arrow_index and arrow_ends
-    assert linear_lookups(SRC / "reps.py") == []
+    found = {p.name: linear_lookups(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: places for name, places in found.items() if places} == {}
 
 
 def test_src_solves_off_the_reduced_rows():

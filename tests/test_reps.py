@@ -70,6 +70,7 @@ from util import (
     is_indecomposable_by_sweep,
     is_isomorphic_by_sweep,
     is_isomorphic_by_top_rank,
+    is_isomorphic_by_tops,
     is_local_by_matrices,
     is_new_indecomposable_by_probes,
     line_quiver,
@@ -718,6 +719,134 @@ def test_ranks_spare_the_hom_solves_they_decide(monkeypatch):
     assert calls == []
 
 
+def _random_like(m, rng):
+    """A random module of the dimension vector of ``m``."""
+    q, field = m.pres.quiver, m.field
+    mats = {}
+    for a, (si, ti) in zip(q.arrows, q.arrow_ends):
+        nr, nc = m.dims[ti], m.dims[si]
+        if nr and nc:
+            mats[a.name] = [[rng.randrange(field.size) if field.size else rng.randint(-1, 1)
+                             for _ in range(nc)] for _ in range(nr)]
+    return make_representation(m.pres, field, dict(zip(q.vertices, m.dims)), mats)
+
+
+def _sum_of(parts):
+    m = parts[0]
+    for u in parts[1:]:
+        m = direct_sum(m, u)
+    return m
+
+
+def _simple_free_pairs(rng):
+    """Pairs of equal dimension vectors: base-changed copies of random
+    modules with one to three simples added, repeating some; the same
+    summands in another order; random modules of the same dimension
+    vector; semisimple pairs; pairs of equal ranks and different simple
+    multiplicities on a loop; and sums around the GF(4)-residue
+    Kronecker point.  Random quivers have loops, parallel arrows and
+    zero-dimensional vertices, over GF(2), GF(3), GF(5) and QQ."""
+    fields = [F2, F3, GF(5), QQ]
+    pairs = []
+    for trial in range(100):
+        pres = hereditary(_random_quiver(rng))
+        field = fields[trial % len(fields)]
+        simples = [simple_representation(pres, field, v) for v in pres.quiver.vertices]
+        # exact tops over QQ grow fast with the dimension
+        u, v = (random_representation(pres, field, rng, max_dim=1 + bool(field.size))
+                for _ in range(2))
+        added = [rng.choice(simples) for _ in range(rng.randint(1, 3))]
+        m = _sum_of([u] + added)
+        pairs += [(m, _base_changed(m, rng)),
+                  (m, _base_changed(_sum_of(added[::-1] + [u]), rng)),
+                  (m, _random_like(m, rng)), (u, _random_like(u, rng)),
+                  (_sum_of([u, v]), _base_changed(_sum_of([v, u]), rng))]
+        semisimple = [rng.choice(simples) for _ in range(rng.randint(1, 4))]
+        pairs.append((_sum_of(semisimple), _sum_of(semisimple[::-1])))
+        loops = [a for a in pres.quiver.arrows if a.source == a.target]
+        if loops:
+            # a Jordan block on a loop and the loop acting by 1 plus the
+            # simple: equal ranks, simple multiplicities 0 and 1
+            a = rng.choice(loops)
+            j2, split = (make_representation(pres, field, {a.source: 2}, {a.name: rows})
+                         for rows in ([[0, 0], [1, 0]], [[1, 0], [0, 0]]))
+            pairs.append((direct_sum(u, j2), _base_changed(direct_sum(split, u), rng)))
+    # a = I and b the companion matrix of x^2 + x + 1 or of x^2 + 1 over
+    # GF(2): the first is the GF(4) point, E of dimension 2
+    gf4, other = (make_representation(KRONECKER, F2, {"1": 2, "2": 2},
+                                      {"a": [[1, 0], [0, 1]], "b": b})
+                  for b in ([[0, 1], [1, 1]], [[0, 1], [1, 0]]))
+    s1, s2 = (simple_representation(KRONECKER, F2, v) for v in ("1", "2"))
+    for rest, added in (([gf4], [s1, s2, s1]), ([gf4, gf4], [s1]), ([gf4, other], [s2])):
+        for _ in range(3):
+            m = _sum_of(rest + added)
+            pairs += [(m, _base_changed(_sum_of(added + rest[::-1]), rng)),
+                      (m, _sum_of([other] * len(rest) + added))]
+    return pairs
+
+
+def test_isomorphism_through_the_simple_free_part_matches_top_oracles():
+    seen = dict.fromkeys(("loop", "parallel", "zero vertex", "repeated simples", "semisimple",
+                          "simples differ", "rest isomorphic", "rest not isomorphic",
+                          "GF(4) point", "GF(2)", "GF(3)", "GF(5)", "QQ"), 0)
+    for m, n in _simple_free_pairs(seeded(19)):
+        if m.dims != n.dims:
+            continue
+        want = is_isomorphic_by_tops(m, n)
+        assert is_isomorphic(m, n) is want is is_isomorphic_by_top_rank(m, n), (m, n)
+        q = m.pres.quiver
+        seen[str(m.field)] += 1
+        seen["loop"] += any(s == t for s, t in q.arrow_ends)
+        seen["parallel"] += len(set(q.arrow_ends)) < len(q.arrow_ends)
+        seen["zero vertex"] += 0 in m.dims
+        seen["GF(4) point"] += m.pres == KRONECKER and m.total >= 4
+        counts = [[simple_summand_multiplicity_by_kernels(x, v) for v in q.vertices]
+                  for x in (m, n)]
+        seen["repeated simples"] += max(counts[0]) > 1 and sum(map(bool, counts[0])) > 1
+        if m._ranks != n._ranks:
+            continue
+        if counts[0] != counts[1]:
+            seen["simples differ"] += 1
+        elif sum(counts[0]) == m.total:
+            seen["semisimple"] += 1
+        else:
+            seen["rest isomorphic" if want else "rest not isomorphic"] += 1
+    assert min(seen.values()) >= 12, seen
+
+
+def test_isomorphism_solves_hom_spaces_of_simple_free_modules_only(monkeypatch):
+    # semisimple pairs and pairs whose simple multiplicities differ are
+    # decided without a Hom solve; every other solve sees the parts
+    # without simple summands
+    rng = seeded(5)
+    s0, s1, s2 = (simple_representation(A3, F2, v) for v in ("v0", "v1", "v2"))
+    interval = make_representation(A3, F2, {"v0": 1, "v1": 1}, {"va0": [[1]]})
+    j2 = make_representation(FREE_LOOP, F3, {"x": 2}, {"a": [[0, 0], [1, 0]]})
+    split = make_representation(FREE_LOOP, F3, {"x": 2}, {"a": [[1, 0], [0, 0]]})
+    calls = []
+    monkeypatch.setattr("nodalq.reps.hom_space",
+                        lambda a, b: calls.append((a, b)) or hom_space(a, b))
+    assert is_isomorphic(_sum_of([s0, s1, s0, s2]), _sum_of([s2, s0, s0, s1]))
+    assert not is_isomorphic(j2, split) and not is_isomorphic(split, j2)
+    assert j2._ranks == split._ranks and calls == []
+    m = _sum_of([interval, s2, s0, s2])
+    assert is_isomorphic(m, _base_changed(_sum_of([s2, s0, interval, s2]), rng))
+    assert calls and all(x.dims == interval.dims for pair in calls for x in pair)
+    calls.clear()
+    # the loop acting by 1 and by 2, each plus the simple: only the two
+    # loops are compared
+    one, two = (make_representation(FREE_LOOP, F3, {"x": 1}, {"a": [[c]]}) for c in (1, 2))
+    s = simple_representation(FREE_LOOP, F3, "x")
+    assert not is_isomorphic(direct_sum(one, s), direct_sum(s, two))
+    assert calls and all(x.total == 1 for pair in calls for x in pair)
+    for a, b in _simple_free_pairs(rng)[::5]:
+        if a.dims == b.dims:
+            is_isomorphic(a, b)
+    assert len(calls) > 100
+    assert all(simple_summand_multiplicity_by_kernels(x, v) == 0
+               for pair in calls for x in pair for v in x.pres.quiver.vertices)
+
+
 def test_decompose_refuses_a_catalog_over_another_presentation():
     s1, s2 = (simple_representation(A2, F2, v) for v in ("v0", "v1"))
     with pytest.raises(ShapeMismatch):
@@ -1031,6 +1160,24 @@ def test_scan_support_walk_matches_connectivity_oracle():
                     assert _connected_support(q.arrow_ends, dims) is want, (path.stem, dims)
                     seen[want] += 1
     assert min(seen.values()) > 500, seen
+
+
+def test_scan_candidates_equal_the_checked_construction(monkeypatch):
+    # scan builds its candidates without re-checking the shapes and field
+    # of matrices it made itself; each is the checked construction
+    built = []
+    decide = _is_new_indecomposable
+    monkeypatch.setattr("nodalq.reps._is_new_indecomposable",
+                        lambda m, same: built.append(m) or decide(m, same))
+    pres = _corpus_presentation("kronecker_glue")
+    scan = enumerate_indecomposables(pres, F3, 4)
+    assert (scan.count, scan.examined, scan.tested) == (15, 8198, 401)
+    assert len(built) == scan.tested
+    for m in built:
+        checked = Representation(m.pres, m.field, m.dims, m.mats)
+        assert type(m) is Representation and m == checked and hash(m) == hash(checked)
+        assert type(m.dims) is tuple and type(m.mats) is tuple
+    assert set(scan.classes) <= set(built)
 
 
 def test_end_ring_certificate_agrees_with_summand_probes():

@@ -15,7 +15,9 @@ decided by the rank of the radical pairing.  They read that rank from
 Hom basis elements where the library pairs flat coordinates.  The
 isomorphism and indecomposability oracles sweep every coefficient
 vector on a hom basis, up to a cap, instead of reading the top of an
-endomorphism ring.
+endomorphism ring.  The tops oracle is ``is_isomorphic`` before it
+compared simple multiplicities first: it reads the tops of the whole
+modules, simple summands included.
 The closure oracle is the unpruned extension enumerator: it builds every
 nonzero extension class of every direct sum of smaller classes.  The
 scan oracle builds every matrix tuple of every dimension vector.  Both
@@ -72,6 +74,7 @@ from nodalq.reps import (
     _compositions,
     _kernel_and_image,
     _section,
+    _top_rank,
     _weighted_multisets,
     check_relations,
     combine_morphisms,
@@ -728,6 +731,31 @@ def is_isomorphic_by_top_rank(m, n) -> bool:
     if m.total == 0:
         return True
     rank = top_rank_by_residues(m, n)
+    return rank > 0 and 2 * rank == m._top.dim + n._top.dim
+
+
+# ---------------------------------------------------------------------------
+# isomorphism from the tops of the whole modules, the reference for the
+# simple-free reduction; ``is_isomorphic`` before it compared simple
+# multiplicities and read tops of the rest only, kept as it was apart
+# from its name
+
+def is_isomorphic_by_tops(m: Representation, n: Representation) -> bool:
+    """Exact isomorphism test from the tops of the endomorphism rings.
+
+    Isomorphic modules have equal dimension vectors and arrow ranks, so
+    modules differing there are told apart without a Hom solve.
+    Otherwise, with a_i and b_i the multiplicities of U_i in m and in n,
+    dim E(m) + dim E(n) - 2 dim Hom(m, n)/rad is the sum of (a_i - b_i)^2
+    d_i, which vanishes exactly when m and n are isomorphic.
+    """
+    if m.pres != n.pres or m.field != n.field:
+        raise ShapeMismatch("comparison needs a common presentation and field")
+    if m.dims != n.dims or m._ranks != n._ranks:
+        return False
+    if m.total == 0:
+        return True
+    rank = _top_rank(m, n)
     return rank > 0 and 2 * rank == m._top.dim + n._top.dim
 
 
