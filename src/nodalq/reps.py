@@ -154,21 +154,6 @@ class Representation:
         module's."""
         return tuple(x.rank() for x in self.mats)
 
-    @cached_property
-    def _simples(self) -> tuple[int, ...]:
-        """The multiplicity of the simple at every vertex as a summand,
-        from ranks alone."""
-        return tuple(simple_summand_multiplicity(self, v) for v in self.pres.quiver.vertices)
-
-    @cached_property
-    def _rest(self) -> "Representation":
-        """``self`` with its simple summands split off, or ``self`` when
-        it has none, so that its End ring and top are kept."""
-        if not any(self._simples):
-            return self
-        vertices = self.pres.quiver.vertices
-        return strip_simple_summands(self, [v for v, c in zip(vertices, self._simples) if c])[0]
-
 
 def make_representation(pres: Presentation, field, dims, mats) -> Representation:
     """Build a representation from dicts; omitted vertices get dimension
@@ -817,19 +802,24 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
     apart without a Hom solve, and two semisimple modules agreeing there
     are isomorphic.  Otherwise, by Krull-Schmidt, m and n are isomorphic
     exactly when their parts m', n' without simple summands are, each
-    split off by one ``strip_simple_summands`` restriction and kept on
-    the module.  With a_i and b_i the multiplicities of U_i in m' and in
-    n', dim E(m') + dim E(n') - 2 dim Hom(m', n')/rad is the sum of
-    (a_i - b_i)^2 d_i, which vanishes exactly when m' and n' are
-    isomorphic.
+    split off by one ``strip_simple_summands`` restriction.  With a_i
+    and b_i the multiplicities of U_i in m' and in n', dim E(m') +
+    dim E(n') - 2 dim Hom(m', n')/rad is the sum of (a_i - b_i)^2 d_i,
+    which vanishes exactly when m' and n' are isomorphic.
     """
     if m.pres != n.pres or m.field != n.field:
         raise ShapeMismatch("comparison needs a common presentation and field")
-    if m.dims != n.dims or m._ranks != n._ranks or m._simples != n._simples:
+    if m.dims != n.dims or m._ranks != n._ranks:
         return False
-    if sum(m._simples) == m.total:
+    vertices = m.pres.quiver.vertices
+    simples = [simple_summand_multiplicity(m, v) for v in vertices]
+    if simples != [simple_summand_multiplicity(n, v) for v in vertices]:
+        return False
+    if sum(simples) == m.total:
         return True
-    m, n = m._rest, n._rest
+    if any(simples):
+        held = [v for v, c in zip(vertices, simples) if c]
+        m, n = strip_simple_summands(m, held)[0], strip_simple_summands(n, held)[0]
     rank = _top_rank(m, n)
     return rank > 0 and 2 * rank == m._top.dim + n._top.dim
 
@@ -1105,14 +1095,6 @@ def _connected_support(ends, dims) -> bool:
     return seen == support
 
 
-def _built(pres, field, dims, mats) -> Representation:
-    """``Representation(pres, field, dims, mats)`` without the checks of
-    ``__post_init__``, for matrices already built to shape over ``field``."""
-    m = object.__new__(Representation)
-    vars(m).update(pres=pres, field=field, dims=dims, mats=mats)
-    return m
-
-
 def _scan_catalog(pres, field, max_total, budget):
     """Catalog, matrix tuples examined and tuples built; see
     ``enumerate_indecomposables``."""
@@ -1145,7 +1127,7 @@ def _scan_catalog(pres, field, max_total, budget):
             found_here = []
             for mats in _orbit_tuples(field, shapes, ends, relations):
                 tested += 1
-                m = _built(pres, field, dims, mats)
+                m = Representation(pres, field, dims, mats)
                 if _is_new_indecomposable(m, found_here):
                     found_here.append(m)
             catalog.extend(found_here)
