@@ -47,17 +47,19 @@ summand at v, counted as d - rk A - rk B + rk AB for A the arrows out of
 v stacked and B the arrows into v joined, rejects it first.  Then only
 classes of its own dimension vector, End dimension and arrow ranks can
 be isomorphic to it, and such a class u is isomorphic to m exactly when
-some basis element of Hom(u, m) is invertible at every vertex: one Hom
+some basis vector of Hom(u, m) is invertible at every vertex: one Hom
 solve per probe, exact and never sampled.  End, its top, the local
 verdict and the arrow ranks are kept on the representation object, so a
-catalog class pays for them once.
+catalog class pays for them once.  Every map is read as the flat vector
+``hom_space`` solves for, cut per vertex by ``_blocks``; ``Morphism``
+objects are formed only for callers of the public API.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import gt, mul
 from typing import NamedTuple
 
@@ -70,7 +72,7 @@ from .construct import (
     glue_presentation,
 )
 from .linalg import Matrix, all_matrices, block_diag, rank_forms, similarity_forms
-from .quiver import Presentation
+from .quiver import NonComposable, Presentation
 
 
 class ShapeMismatch(ValueError):
@@ -157,8 +159,16 @@ class Representation:
 
 def make_representation(pres: Presentation, field, dims, mats) -> Representation:
     """Build a representation from dicts; omitted vertices get dimension
-    zero and omitted arrows the zero matrix."""
+    zero and omitted arrows the zero matrix.  A name the quiver lacks, or
+    a row list holding entries for an arrow with a zero-dimensional end,
+    raises ShapeMismatch."""
     q = pres.quiver
+    for v in dims:
+        if v not in q.vertex_index:
+            raise ShapeMismatch(f"no vertex {v!r}")
+    for name in mats:
+        if name not in q.arrow_index:
+            raise ShapeMismatch(f"no arrow {name!r}")
     dt = tuple(dims.get(v, 0) for v in q.vertices)
 
     def lookup(a, si, ti):
@@ -169,7 +179,10 @@ def make_representation(pres: Presentation, field, dims, mats) -> Representation
         if isinstance(got, Matrix):
             return got
         if nr == 0 or nc == 0:
-            # row lists cannot carry a zero shape
+            # row lists cannot carry a zero shape, so they may hold no entry
+            if any(map(len, got)):
+                raise ShapeMismatch(
+                    f"matrix of {a.name!r} has entries, but its shape {(nr, nc)} holds none")
             return Matrix.zeros(field, nr, nc)
         return Matrix.from_rows(field, got)
 
@@ -182,8 +195,6 @@ def zero_representation(pres: Presentation, field) -> Representation:
 
 
 def simple_representation(pres: Presentation, field, v: str) -> Representation:
-    if not pres.quiver.has_vertex(v):
-        raise ShapeMismatch(f"no vertex {v!r}")
     return make_representation(pres, field, {v: 1}, {})
 
 
@@ -198,14 +209,19 @@ def direct_sum(m: Representation, n: Representation) -> Representation:
 
 
 def path_matrix(m: Representation, word: tuple[str, ...], source=None) -> Matrix:
-    """Evaluate a written word; the last arrow of the word acts first."""
+    """Evaluate a written word; the last arrow of the word acts first, so
+    each arrow must end where the one before it in the word starts."""
     if not word:
         if source is None:
             raise ValueError("an empty word needs an explicit source vertex")
         return Matrix.identity(m.field, m.dim(source))
+    q = m.pres.quiver
     out = m.mat(word[0])
-    for name in word[1:]:
-        out = out * m.mat(name)
+    for left, right in zip(word, word[1:]):
+        factor = m.mat(right)
+        if q.arrow_ends[q.arrow_index[right]][1] != q.arrow_ends[q.arrow_index[left]][0]:
+            raise NonComposable(f"arrows {right!r} and {left!r} do not compose")
+        out = out * factor
     return out
 
 
@@ -251,9 +267,9 @@ class Morphism:
 class HomSpace:
     """Hom(source, target) with a basis of morphisms.
 
-    ``_flat`` holds each basis element's blocks flattened, block after
-    block and row by row.  ``hom_space`` keeps only those vectors and
-    forms ``basis`` from them on its first read."""
+    ``_flat`` holds each basis element's flat coordinates, the form every
+    reader inside the module takes.  ``hom_space`` keeps only those
+    vectors and forms ``basis`` from them on its first read."""
 
     source: Representation
     target: Representation
@@ -268,10 +284,9 @@ class HomSpace:
         if name != "basis" or "_flat" not in self.__dict__:
             raise AttributeError(name)
         m, n = self.source, self.target
-        offsets, _ = _block_offsets(m, n)
         object.__setattr__(self, "basis", tuple([Morphism(m, n, tuple([
-            Matrix(m.field, nd, md, tuple([vec[o + i * md:o + i * md + md] for i in range(nd)]))
-            for o, nd, md in zip(offsets, n.dims, m.dims)
+            Matrix(m.field, nd, md, b)
+            for b, nd, md in zip(_blocks(m.dims, n.dims, vec), n.dims, m.dims)
         ])) for vec in self._flat]))
         return self.basis
 
@@ -307,16 +322,6 @@ def combine_morphisms(hom: HomSpace, coeffs) -> Morphism:
     return Morphism(hom.source, hom.target, tuple(blocks))
 
 
-def _block_offsets(m: Representation, n: Representation):
-    """Where each block f_v starts among the flat coordinates of a map
-    m -> n, block after block and row by row, and how many there are."""
-    offsets, pos = [], 0
-    for nd, md in zip(n.dims, m.dims):
-        offsets.append(pos)
-        pos += nd * md
-    return offsets, pos
-
-
 def hom_space(m: Representation, n: Representation) -> HomSpace:
     """Solve the intertwining equations f.mat(a) = mat(a).f exactly.
 
@@ -330,7 +335,7 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
     q = m.pres.quiver
     field = m.field
     z, mod = field.coerce(0), field.modulus
-    offsets, pos = _block_offsets(m, n)
+    *offsets, pos = itertools.accumulate(map(mul, n.dims, m.dims), initial=0)  # block starts
     zero = [z] * pos
     rows = []
     for (si, ti), ma, na in zip(q.arrow_ends, m.mats, n.mats):
@@ -355,6 +360,25 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
     object.__setattr__(hom, "target", n)
     object.__setattr__(hom, "_flat", Matrix(field, len(rows), pos, tuple(rows)).nullspace())
     return hom
+
+
+def _blocks(mdims, ndims, vec) -> list:
+    """The blocks f_v, as row tuples, of a flat map f: m -> n for m and n
+    of dimension vectors ``mdims`` and ``ndims``, every vertex included."""
+    blocks, pos = [], 0
+    for nd, md in zip(ndims, mdims):
+        blocks.append(tuple([vec[pos + i * md:pos + i * md + md] for i in range(nd)]))
+        pos += nd * md
+    return blocks
+
+
+@lru_cache(maxsize=1024)
+def _positions(mdims, ndims) -> tuple:
+    """``_blocks`` of the flat positions of maps m -> n and n -> m; kept,
+    since the top rank meets few pairs of dimension vectors many times
+    (120 pairs in 2,183 calls of a functor bench pass)."""
+    size = sum(map(mul, mdims, ndims))
+    return _blocks(mdims, ndims, range(size)), _blocks(ndims, mdims, range(size))
 
 
 # ---------------------------------------------------------------------------
@@ -430,29 +454,30 @@ def has_simple_summand_at(m: Representation, v: str) -> bool:
 
 
 def _find_split(m: Representation, u: Representation):
-    """A pair (f, g) with g.f invertible on ``u``, or None.
+    """The first pair (f, g), as blocks, with g.f invertible on ``u``, or None.
 
     Exact for indecomposable ``u``: its endomorphism ring is local, so
     if a copy of ``u`` splits off then already some pair of hom basis
     elements composes to an automorphism.
     """
+    if u.total == 0:
+        raise ShapeMismatch("the zero representation is not a valid probe")
     if any(du > dm for du, dm in zip(u.dims, m.dims)):
         return None
     into = hom_space(u, m)
     if not into.dim:
         return None
-    back = hom_space(m, u)
-    for f in into.basis:
-        for g in back.basis:
-            if compose_morphisms(g, f).is_isomorphism():
+    back = [_blocks(m.dims, u.dims, g) for g in hom_space(m, u)._flat]
+    for f in (_blocks(u.dims, m.dims, f) for f in into._flat):
+        for g in back:
+            if all(_invertible(m.field, _int_product(x, y, m.field.modulus))
+                   for x, y in zip(g, f)):
                 return f, g
     return None
 
 
 def has_summand(m: Representation, u: Representation) -> bool:
     """Whether the indecomposable ``u`` is a direct summand of ``m``."""
-    if u.total == 0:
-        raise ShapeMismatch("the zero representation is not a valid probe")
     return _find_split(m, u) is not None
 
 
@@ -480,8 +505,8 @@ def split_summand(m: Representation, u: Representation):
     pair = _find_split(m, u)
     if pair is None:
         return None
-    return _restricted(m, [_columns_matrix(m.field, d, g.nullspace())
-                           for d, g in zip(m.dims, pair[1].blocks)])
+    return _restricted(m, [_columns_matrix(m.field, d, Matrix(m.field, len(g), d, g).nullspace())
+                           for d, g in zip(m.dims, pair[1])])
 
 
 def strip_simple_summands(m: Representation, vertices):
@@ -516,7 +541,7 @@ def strip_simple_summands(m: Representation, vertices):
 # multiplicities
 
 def _int_product(a, b, modulus):
-    """Product of two square matrices given as integer row lists."""
+    """Product of two matrices given as row lists, reduced by ``modulus``."""
     return [[sum(map(mul, row, col)) % modulus for col in zip(*b)] for row in a]
 
 
@@ -533,8 +558,8 @@ def _radical(m) -> tuple[tuple, ...]:
     level i with p^(i+1) above the total dimension on.
     """
     field, p = m.field, m.field.size
-    basis = [[b.rows for b in f.blocks] for f in m._end.basis]
-    flat = [[x for block in f for row in block for x in row] for f in basis]
+    flat = m._end._flat
+    basis = [_blocks(m.dims, m.dims, f) for f in flat]
     turned = [[x for block in f for col in zip(*block) for x in col] for f in basis]
     # Tr(ab) is the sum over v, j, k of a_v[j][k] b_v[k][j]
     coords = Matrix.from_rows(field, [
@@ -581,7 +606,8 @@ def _top_of(m) -> _Top:
     flattened basis times the inverse of the basis restricted to them,
     and the functionals vanishing on the radical take them onto E(m)."""
     field, n = m.field, m._end.dim
-    positions = [(v, i, j) for v, d in enumerate(m.dims) for i in range(d) for j in range(d)]
+    positions = {c: (v, i, j) for v, block in enumerate(_positions(m.dims, m.dims)[0])
+                 for i, row in enumerate(block) for j, c in enumerate(row)}
     flat = Matrix(field, n, len(positions), m._end._flat)
     pivots = sorted(flat._reduced())
     square = Matrix(field, n, n, tuple(tuple(row[c] for c in pivots) for row in flat.rows))
@@ -591,46 +617,35 @@ def _top_of(m) -> _Top:
     return _Top(len(quotient), tuple(positions[c] for c in pivots), weights.rows)
 
 
-def _residue(m, g, f) -> list:
-    """Coordinates in E(m) of the residue of g.f, from the per-vertex
-    blocks of two morphisms composing to an endomorphism of m; only the
-    weighted entries of g.f are formed."""
+def _functionals(m: Representation, n: Representation, gs):
+    """Per flat g: n -> m in ``gs``, the functionals on the flat coordinates
+    of f: m -> n giving each coordinate of the residue of g.f in E(m): entry
+    (i, j) of g_v.f_v is the sum over k of g_v[i][k] f_v[k][j], weighted by
+    the top's weight at (v, i, j)."""
     top = m._top
-    mod = m.field.modulus
-    out = [m.field.coerce(0)] * top.dim
-    for (v, i, j), w in zip(top.entries, top.weights):
-        left, right = g[v].rows[i], f[v].rows
-        x = sum(a * right[k][j] for k, a in enumerate(left)) % mod
-        if x:
-            out = [o + x * y for o, y in zip(out, w)]
-    return [o % mod for o in out]
+    size = sum(map(mul, n.dims, m.dims))
+    at_f, at_g = _positions(m.dims, n.dims)
+    for g in gs:
+        rows = [[0] * size for _ in range(top.dim)]
+        for (v, i, j), w in zip(top.entries, top.weights):
+            for a, f_row in zip(at_g[v][i], at_f[v]):  # g_v[i][k] and f_v[k] over k
+                if g[a]:
+                    for row, y in zip(rows, w):
+                        row[f_row[j]] += g[a] * y
+        yield rows
 
 
 def _top_rank(m: Representation, n: Representation) -> int:
     """dim Hom(m, n)/rad(m, n): f is radical exactly when every g.f with
     g in Hom(n, m) is radical in End(m), so this is the rank of
-    f -> (residue of g.f)_g over bases of Hom(m, n) and Hom(n, m).
-
-    Each coordinate c of the residue of g.f is a linear functional on
-    the flat coordinates of f: entry (i, j) of g_v.f_v is the sum over k
-    of g_v[i][k] f_v[k][j], weighted by the top's weight at (v, i, j).
-    So the pairing is a set of dot products."""
+    f -> (residue of g.f)_g over bases of Hom(m, n) and Hom(n, m), a
+    set of dot products with ``_functionals``."""
     into = hom_space(m, n)
     if not into.dim:
         return 0
     back = hom_space(n, m)
-    top, mod = m._top, m.field.modulus
-    offsets, size = _block_offsets(m, n)  # the same for maps n -> m
-    functionals = []
-    for g in back._flat:
-        rows = [[0] * size for _ in range(top.dim)]
-        for (v, i, j), w in zip(top.entries, top.weights):
-            start, nd, md = offsets[v], n.dims[v], m.dims[v]
-            for k, x in enumerate(g[start + i * nd:start + i * nd + nd]):
-                if x:
-                    for row, y in zip(rows, w):
-                        row[start + k * md + j] += x * y
-        functionals += rows
+    functionals = [row for rows in _functionals(m, n, back._flat) for row in rows]
+    mod = m.field.modulus
     return Matrix(m.field, into.dim, len(functionals), tuple([
         tuple([sum(map(mul, f, row)) % mod for row in functionals]) for f in into._flat
     ])).rank()
@@ -645,14 +660,6 @@ def _nilpotent(block, p) -> bool:
         block = _int_product(block, block, p)
         size *= 2
     return not any(map(any, block))
-
-
-def _square_blocks(m, vec) -> list:
-    """The blocks of a flat map between two modules of the dimension
-    vector of ``m``, as row tuples, at the vertices where it is nonzero."""
-    offsets, _ = _block_offsets(m, m)
-    return [tuple([vec[o + i * d:o + i * d + d] for i in range(d)])
-            for o, d in zip(offsets, m.dims) if d]
 
 
 def _invertible(field, block) -> bool:
@@ -690,7 +697,7 @@ def _is_local(m):
     p = field.size
     nilpotent = []  # per nilpotent shift, its blocks
     for vec in end._flat:
-        blocks = _square_blocks(m, vec)
+        blocks = [b for b in _blocks(m.dims, m.dims, vec) if b]
         for lam in range(p):
             h = [tuple([r[:i] + ((r[i] - lam) % p,) + r[i + 1:] for i, r in enumerate(b)])
                  for b in blocks]
@@ -717,18 +724,19 @@ def _is_local(m):
             layer = below
         else:
             return True
-    # the residues of the End basis span the top
-    basis = [b.blocks for b in end.basis]
-    ones = [Matrix.identity(field, d) for d in m.dims]
-    if any(_residue(m, a, b) != _residue(m, b, a)
-           for a, b in itertools.combinations(basis, 2)):
+    # the residues of the End basis span the top; a's functionals take b to that of a.b
+    basis = list(zip(_functionals(m, m, end._flat), end._flat))
+    if any([sum(map(mul, r, b)) % p for r in fa] != [sum(map(mul, r, a)) % p for r in fb]
+           for (fa, a), (fb, b) in itertools.combinations(basis, 2)):
         return False
+    one, = _functionals(m, m, [[int(i == j) for d in m.dims for i in range(d) for j in range(d)]])
     frobenius = []
-    for b in basis:
-        power = b
-        for _ in range(field.size - 2):
-            power = [x * y for x, y in zip(power, b)]
-        frobenius.append([x - y for x, y in zip(_residue(m, power, b), _residue(m, ones, b))])
+    for _, b in basis:
+        blocks = power = _blocks(m.dims, m.dims, b)
+        for _ in range(p - 1):  # up to b^p
+            power = [_int_product(x, y, p) for x, y in zip(power, blocks)]
+        power = [x - y for x, y in zip((x for w in power for row in w for x in row), b)]
+        frobenius.append([sum(map(mul, r, power)) % p for r in one])
     return Matrix.from_rows(field, frobenius).rank() == m._top.dim - 1
 
 
@@ -1005,7 +1013,7 @@ def _is_isomorphic_to_indecomposable(m, u) -> bool:
     of Hom(u, m) is invertible at every vertex.  For an isomorphism
     phi: u -> m the maps that are not isomorphisms form phi.rad End(u),
     End(u) being local, and no basis lies in that proper subspace."""
-    return any(all(_invertible(m.field, b) for b in _square_blocks(m, vec))
+    return any(all(_invertible(m.field, b) for b in _blocks(u.dims, m.dims, vec))
                for vec in hom_space(u, m)._flat)
 
 

@@ -120,3 +120,24 @@ def test_src_solves_off_the_reduced_rows():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "rref"]
     assert calls == []
+
+
+def test_src_forms_morphisms_only_at_the_public_api():
+    # inside the library a module map is its flat coordinates; only the
+    # public API that hands out Morphism objects forms or composes them
+    public = {"HomSpace", "identity_morphism", "compose_morphisms", "combine_morphisms"}
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            if getattr(top, "name", None) in public:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in ("Morphism", "compose_morphisms"):
+                        uses.append(f"{path.name}:{node.lineno}: {name}(")
+                elif isinstance(node, ast.Attribute) and node.attr == "basis":
+                    uses.append(f"{path.name}:{node.lineno}: .basis")
+    assert uses == []

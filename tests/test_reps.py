@@ -49,7 +49,7 @@ from nodalq import (
 )
 
 from nodalq.linalg import all_matrices, block_diag, rank_forms, similarity_forms
-from nodalq.quiver import QuiverError
+from nodalq.quiver import NonComposable, QuiverError
 from nodalq.reps import (
     _compositions,
     _connected_support,
@@ -115,6 +115,23 @@ def test_representation_validation():
     assert m.total == 1
 
 
+def test_make_representation_refuses_unknown_names_and_stray_entries():
+    # an unknown vertex or arrow name is refused, not dropped, and so is
+    # a row list holding entries for an arrow with a zero-dimensional end
+    with pytest.raises(ShapeMismatch, match=r"^no vertex '3'$"):
+        make_representation(A2, F2, {"v0": 1, "3": 5}, {})
+    with pytest.raises(ShapeMismatch, match=r"^no arrow 'typo'$"):
+        make_representation(A2, F2, {"v0": 1, "v1": 1}, {"typo": [[1]]})
+    for dims in ({"v1": 1}, {"v0": 1}, {}):
+        with pytest.raises(ShapeMismatch, match=r"^matrix of 'va0' has entries"):
+            make_representation(A2, F2, dims, {"va0": [[1]]})
+    # row lists without entries still give the zero matrix
+    assert make_representation(A2, F2, {"v1": 2}, {"va0": [[], []]}).mat("va0").shape == (2, 0)
+    assert make_representation(A2, F2, {"v0": 2}, {"va0": []}).mat("va0").shape == (0, 2)
+    with pytest.raises(ShapeMismatch, match=r"^no vertex 'x'$"):
+        simple_representation(A2, F2, "x")
+
+
 def test_check_relations_reports():
     pres = _dual_numbers()
     ok, problems = check_relations(
@@ -135,6 +152,20 @@ def test_path_matrix_orders_factors():
     assert path_matrix(m, (), source="v0").rows == ((1,),)
     with pytest.raises(ValueError):
         path_matrix(m, ())
+
+
+def test_path_matrix_refuses_a_word_that_does_not_compose():
+    # va0: v0 -> v1 and va1: v1 -> v2, so va0 after va1 is no path,
+    # although the 1 x 1 matrices multiply
+    m = make_representation(
+        A3, F3, {"v0": 1, "v1": 1, "v2": 1}, {"va0": [[2]], "va1": [[2]]}
+    )
+    for word, pair in ((("va0", "va1"), "'va1' and 'va0'"),
+                       (("va1", "va0", "va0"), "'va0' and 'va0'")):
+        with pytest.raises(NonComposable, match=f"^arrows {pair} do not compose$"):
+            path_matrix(m, word)
+    loop = make_representation(FREE_LOOP, F3, {"x": 2}, {"a": [[0, 0], [1, 0]]})
+    assert path_matrix(loop, ("a", "a")).is_zero()
 
 
 def test_hom_space_dimensions_on_a2():
@@ -366,6 +397,15 @@ def test_summand_split_and_decompose():
     assert decompose(m, catalog) == (1, 0, 1, 1)
     with pytest.raises(ValueError):
         decompose(m, [s0])  # catalog cannot cover the interval
+
+
+def test_split_summand_refuses_a_zero_probe_like_has_summand():
+    m = make_representation(A2, F3, {"v0": 1, "v1": 1}, {"va0": [[1]]})
+    for n in (m, zero_representation(A2, F3)):
+        for probe in (has_summand, split_summand):
+            with pytest.raises(ShapeMismatch,
+                               match=r"^the zero representation is not a valid probe$"):
+                probe(n, zero_representation(A2, F3))
 
 
 def test_kernel_complements_match_splitting_oracles():
