@@ -229,35 +229,22 @@ def is_quasi_gentle(d: NodalDatum) -> bool:
     )
 
 
-def _line_order(q: Quiver, comp: tuple[str, ...]) -> list[str]:
-    # comp must be a line-shaped component; returns its vertices in path order
-    if len(comp) == 1:
-        return list(comp)
-    cset = set(comp)
-    adj = {v: [] for v in comp}
-    for a in q.arrows:
-        if a.source in cset and a.target in cset and a.source != a.target:
-            adj[a.source].append(a.target)
-            adj[a.target].append(a.source)
-    ends = [v for v in comp if len(adj[v]) == 1]
-    start = ends[0]  # comp keeps quiver order, so this is deterministic
-    order = [start]
-    prev = None
-    cur = start
+def _line_walk(q: Quiver, comp: tuple[str, ...]) -> tuple[list[str], list[Arrow]]:
+    """A line-shaped component's vertices in path order, from its first
+    end in quiver order, and the arrow joining each consecutive pair."""
+    ends = q.arrow_ends
+
+    def incident(k):
+        return q.arrows_out[k] + q.arrows_in[k]
+
+    cur = next(k for k in map(q.vertex_index.get, comp) if len(incident(k)) <= 1)
+    order, edges = [cur], []
     while len(order) < len(comp):
-        nxt = [w for w in adj[cur] if w != prev]
-        prev, cur = cur, nxt[0]
+        a = next(a for a in incident(cur) if edges[-1:] != [a])
+        cur = ends[a][1] if ends[a][0] == cur else ends[a][0]
         order.append(cur)
-    return order
-
-
-def _edges_along(q: Quiver, order: list[str]) -> list[Arrow]:
-    edges = []
-    for k in range(len(order) - 1):
-        u, w = order[k], order[k + 1]
-        found = [a for a in q.arrows if {a.source, a.target} == {u, w}]
-        edges.append(found[0])
-    return edges
+        edges.append(a)
+    return [q.vertices[k] for k in order], [q.arrows[a] for a in edges]
 
 
 def _try_configuration(order, edges, pi: int, pj: int, case: str):
@@ -338,8 +325,7 @@ def detect_exceptional(d: NodalDatum) -> Detection:
                 " treated as not matching",
             ),
         )
-    order = _line_order(d.base, comp)
-    edges = _edges_along(d.base, order)
+    order, edges = _line_walk(d.base, comp)
     pos = {v: k for k, v in enumerate(order)}
     for iv, jv in ((i, j), (j, i)):
         for case in ("one", "two"):
@@ -375,7 +361,7 @@ def detect_super_exceptional(d: NodalDatum) -> Detection:
             continue
         i, j = exc_pair
         comp = next(c for c in d.base.undirected_components() if i in c)
-        order = _line_order(d.base, comp)
+        order, _ = _line_walk(d.base, comp)
         pos = {v: t for t, v in enumerate(order)}
         lo = min(pos[i], pos[j])
         middle_ends = {order[lo + 1], order[lo + 2]}

@@ -305,14 +305,11 @@ def _arrow_graph(pres: Presentation):
     """Per vertex, the indices of its outgoing arrows; per arrow, the index
     of its head; and the map from a written word to its arrow indices."""
     q = pres.quiver
-    out = [[] for _ in q.vertices]
-    for k, (si, _) in enumerate(q.arrow_ends):
-        out[si].append(k)
 
     def word(written):
         return tuple(q.arrow_index[n] for n in reversed(written))
 
-    return out, [ti for _, ti in q.arrow_ends], word
+    return q.arrows_out, [ti for _, ti in q.arrow_ends], word
 
 
 def _live_graph(out, head, step, refusal: str):

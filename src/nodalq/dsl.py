@@ -232,23 +232,43 @@ def emit_presentation(pres: Presentation, fmt: str = "text", vmap=None) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _typed(x, kind: str, where: str):
+    """``x``, when it has the json type that the schema gives ``where``."""
+    if not isinstance(x, {"an object": dict, "an array": list, "a string": str}[kind]):
+        raise ValueError(f"{where} in presentation json must be {kind}")
+    return x
+
+
+def _ids(x, where: str) -> tuple[str, ...]:
+    return tuple(_typed(v, "a string", f"{where}[{k}]")
+                 for k, v in enumerate(_typed(x, "an array", where)))
+
+
 def presentation_from_json(text: str) -> Presentation:
-    """Inverse of the json emitter."""
+    """Inverse of the json emitter.  Malformed input raises ValueError:
+    for a field of the wrong json type (``docs/presentation.schema.json``)
+    the message names the field."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"not valid json: {e}") from None
     try:
-        q = Quiver(
-            tuple(obj["vertices"]),
-            tuple(Arrow(a["name"], a["source"], a["target"]) for a in obj["arrows"]),
-        )
+        obj = _typed(obj, "an object", "the top level")
+        vertices = _ids(obj["vertices"], "vertices")
+        arrows = []
+        for k, a in enumerate(_typed(obj["arrows"], "an array", "arrows")):
+            a = _typed(a, "an object", f"arrows[{k}]")
+            arrows.append(Arrow(*(_typed(a[f], "a string", f"arrows[{k}].{f}")
+                                  for f in ("name", "source", "target"))))
+        q = Quiver(vertices, tuple(arrows))
         rels = set()
-        for r in obj["relations"]:
+        for k, r in enumerate(_typed(obj["relations"], "an array", "relations")):
+            r = _typed(r, "an object", f"relations[{k}]")
             if r["kind"] == "zero":
-                rels.add(MonomialZero(Path(q, tuple(r["word"]))))
+                rels.add(MonomialZero(Path(q, _ids(r["word"], f"relations[{k}].word"))))
             elif r["kind"] == "commutation":
-                rels.add(Commutation(Path(q, tuple(r["lhs"])), Path(q, tuple(r["rhs"]))))
+                rels.add(Commutation(Path(q, _ids(r["lhs"], f"relations[{k}].lhs")),
+                                     Path(q, _ids(r["rhs"], f"relations[{k}].rhs"))))
             else:
                 raise ValueError(f"unknown relation kind {r['kind']!r}")
     except KeyError as e:

@@ -42,7 +42,12 @@ class Quiver:
     """Vertices and arrows, with the positions that validating them finds:
     ``vertex_index`` and ``arrow_index`` map names to positions (two maps,
     because a vertex and an arrow may share a name), and ``arrow_ends``
-    holds the (source, target) vertex positions of each arrow."""
+    holds the (source, target) vertex positions of each arrow.
+
+    ``arrows_out`` and ``arrows_in`` hold, per vertex position, the
+    positions of the arrows leaving and entering it, in arrow order; the
+    name-level ``out_arrows`` and ``in_arrows`` and the graph walks read
+    them.  Each is built on first read, so validating costs nothing more."""
 
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
@@ -71,6 +76,22 @@ class Quiver:
         object.__setattr__(self, "arrow_index", named)
         object.__setattr__(self, "arrow_ends", tuple(ends))
 
+    @cached_property
+    def arrows_out(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex position, the positions of the arrows leaving it."""
+        return self._incident(0)
+
+    @cached_property
+    def arrows_in(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex position, the positions of the arrows entering it."""
+        return self._incident(1)
+
+    def _incident(self, end: int) -> tuple[tuple[int, ...], ...]:
+        at = [[] for _ in self.vertices]
+        for k, ends in enumerate(self.arrow_ends):
+            at[ends[end]].append(k)
+        return tuple(map(tuple, at))
+
     def arrow(self, name: str) -> Arrow:
         k = self.arrow_index.get(name)
         if k is None:
@@ -83,33 +104,33 @@ class Quiver:
     def in_arrows(self, v: str) -> tuple[Arrow, ...]:
         if v not in self.vertex_index:
             raise UnknownVertex(f"unknown vertex {v!r}")
-        return tuple(a for a in self.arrows if a.target == v)
+        return tuple(self.arrows[a] for a in self.arrows_in[self.vertex_index[v]])
 
     def out_arrows(self, v: str) -> tuple[Arrow, ...]:
         if v not in self.vertex_index:
             raise UnknownVertex(f"unknown vertex {v!r}")
-        return tuple(a for a in self.arrows if a.source == v)
+        return tuple(self.arrows[a] for a in self.arrows_out[self.vertex_index[v]])
 
     def is_acyclic(self) -> bool:
         # iterative DFS with colors; loops and multi-arrows allowed
-        out = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            out[a.source].append(a.target)
-        color = {v: 0 for v in self.vertices}  # 0 white, 1 gray, 2 black
-        for root in self.vertices:
+        out, ends = self.arrows_out, self.arrow_ends
+        color = [0] * len(self.vertices)  # 0 white, 1 gray, 2 black
+        for root in range(len(self.vertices)):
             if color[root]:
                 continue
             stack = [(root, iter(out[root]))]
             color[root] = 1
             while stack:
                 v, it = stack[-1]
-                nxt = next(it, None)
-                if nxt is None:
+                a = next(it, None)
+                if a is None:
                     color[v] = 2
                     stack.pop()
-                elif color[nxt] == 1:
+                    continue
+                nxt = ends[a][1]
+                if color[nxt] == 1:
                     return False
-                elif color[nxt] == 0:
+                if color[nxt] == 0:
                     color[nxt] = 1
                     stack.append((nxt, iter(out[nxt])))
         return True
@@ -120,25 +141,21 @@ class Quiver:
         Vertices inside a component keep quiver order; components are
         ordered by their first vertex.
         """
-        adj = {v: set() for v in self.vertices}
-        for a in self.arrows:
-            adj[a.source].add(a.target)
-            adj[a.target].add(a.source)
-        seen: set[str] = set()
+        out, into, ends = self.arrows_out, self.arrows_in, self.arrow_ends
+        seen = [False] * len(self.vertices)
         comps = []
-        for v in self.vertices:
-            if v in seen:
+        for v in range(len(self.vertices)):
+            if seen[v]:
                 continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(tuple(x for x in self.vertices if x in comp))
+            seen[v] = True
+            comp = [v]
+            for u in comp:  # grows as the walk finds vertices
+                for a in out[u] + into[u]:
+                    for w in ends[a]:
+                        if not seen[w]:
+                            seen[w] = True
+                            comp.append(w)
+            comps.append(tuple(map(self.vertices.__getitem__, sorted(comp))))
         return tuple(comps)
 
 

@@ -52,11 +52,15 @@ solve per probe, exact and never sampled.  End, its top, the local
 verdict and the arrow ranks are kept on the representation object, so a
 catalog class pays for them once.  Every map is read as the flat vector
 ``hom_space`` solves for, cut per vertex by ``_blocks``; ``Morphism``
-objects are formed only for callers of the public API.
+objects are formed only for callers of the public API.  Likewise an
+arrow or a vertex is its position, with incidence read off
+``Quiver.arrows_out``, ``arrows_in`` and ``arrow_ends``; names are
+resolved only by the public functions that take them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -225,15 +229,32 @@ def path_matrix(m: Representation, word: tuple[str, ...], source=None) -> Matrix
     return out
 
 
+def _relations(pres: Presentation) -> list:
+    """The relations as pairs of words over arrow positions, zero words
+    first with None as the second word, then the commutation pairs."""
+    index = pres.quiver.arrow_index
+
+    def positions(word):
+        return tuple(map(index.__getitem__, word))
+
+    return [(positions(w), None) for w in pres.zero_words()] + [
+        (positions(lhs), positions(rhs)) for lhs, rhs in pres.commutation_pairs()]
+
+
 def check_relations(m: Representation):
     """Return (ok, problems) for the presentation's relations."""
+    arrows = m.pres.quiver.arrows
+
+    def written(word):
+        return '·'.join(arrows[k].name for k in word)
+
     problems = []
-    for w in m.pres.zero_words():
-        if not path_matrix(m, w).is_zero():
-            problems.append(f"word {'·'.join(w)} does not vanish")
-    for lhs, rhs in m.pres.commutation_pairs():
-        if path_matrix(m, lhs) != path_matrix(m, rhs):
-            problems.append(f"words {'·'.join(lhs)} and {'·'.join(rhs)} differ")
+    for lhs, rhs in _relations(m.pres):
+        if rhs is None:
+            if not _word_product(m.mats, lhs).is_zero():
+                problems.append(f"word {written(lhs)} does not vanish")
+        elif _word_product(m.mats, lhs) != _word_product(m.mats, rhs):
+            problems.append(f"words {written(lhs)} and {written(rhs)} differ")
     return (not problems, tuple(problems))
 
 
@@ -389,28 +410,30 @@ def _columns_matrix(field, height, cols) -> Matrix:
     return Matrix(field, height, len(cols), rows)
 
 
+def _joined(m: Representation, k: int):
+    """The arrows out of vertex ``k`` stacked, then the arrows into it
+    joined, each as (matrix, rank), or (None, 0) where there is none; a
+    single arrow's rank is the one kept on ``m``.  The two are yielded in
+    turn, so a caller done after the first pays nothing for the second."""
+    q = m.pres.quiver
+    for picked, join in ((q.arrows_out[k], Matrix.vstack), (q.arrows_in[k], Matrix.hstack)):
+        if len(picked) == 1:
+            yield m.mats[picked[0]], m._ranks[picked[0]]
+        elif picked:
+            x = functools.reduce(join, [m.mats[j] for j in picked])
+            yield x, x.rank()
+        else:
+            yield None, 0
+
+
 def _kernel_and_image(m: Representation, v: str):
     """Column bases of the joint kernel of the arrows out of ``v`` and of
     the joint image of the arrows into ``v``."""
-    q = m.pres.quiver
-    field = m.field
     dv = m.dim(v)
-    outs = [m.mat(a.name) for a in q.out_arrows(v)]
-    if outs:
-        stacked = outs[0]
-        for x in outs[1:]:
-            stacked = stacked.vstack(x)
-        kernel = _columns_matrix(field, dv, stacked.nullspace())
-    else:
-        kernel = Matrix.identity(field, dv)
-    ins = [m.mat(a.name) for a in q.in_arrows(v)]
-    if ins:
-        joined = ins[0]
-        for x in ins[1:]:
-            joined = joined.hstack(x)
-        image = joined.column_space_basis()
-    else:
-        image = Matrix.zeros(field, dv, 0)
+    (a, _), (b, _) = _joined(m, m.pres.quiver.vertex_index[v])
+    kernel = Matrix.identity(m.field, dv) if a is None else _columns_matrix(
+        m.field, dv, a.nullspace())
+    image = Matrix.zeros(m.field, dv, 0) if b is None else b.column_space_basis()
     return kernel, image
 
 
@@ -421,29 +444,15 @@ def simple_summand_multiplicity(m: Representation, v: str) -> int:
 
     With A the arrows out of v stacked and B the arrows into v joined,
     K = ker A and I = im B, and K meets I in B(ker AB), of dimension
-    rk B - rk AB.  So the multiplicity is d - rk A - rk B + rk AB; the
-    rank of a single arrow is the one kept on ``m``."""
+    rk B - rk AB.  So the multiplicity is d - rk A - rk B + rk AB."""
     d = m.dim(v)
     if d == 0:
         return 0
-    k = m.pres.quiver.vertex_index[v]
-    ends = m.pres.quiver.arrow_ends
-
-    def joined(picked, join):
-        # the picked arrows joined, and its rank
-        if not picked:
-            return None, 0
-        if len(picked) == 1:
-            return m.mats[picked[0]], m._ranks[picked[0]]
-        x = m.mats[picked[0]]
-        for j in picked[1:]:
-            x = join(x, m.mats[j])
-        return x, x.rank()
-
-    a, rank_a = joined([j for j, (s, _) in enumerate(ends) if s == k], Matrix.vstack)
+    sides = _joined(m, m.pres.quiver.vertex_index[v])
+    a, rank_a = next(sides)
     if rank_a == d:
         return 0
-    b, rank_b = joined([j for j, (_, t) in enumerate(ends) if t == k], Matrix.hstack)
+    b, rank_b = next(sides)
     if rank_b == d:
         return 0
     return d - rank_a - rank_b + ((a * b).rank() if rank_a and rank_b else 0)
@@ -855,37 +864,23 @@ def is_indecomposable(m: Representation) -> bool:
 # moving representations along gluings and blow-ups
 
 def _glue_blocks(m: Representation, i: str, j: str, merged_id):
-    glued, vmap, _ = glue_presentation(m.pres, i, j, merged_id)
-    q = m.pres.quiver
-    gq = glued.quiver
-    w = vmap[i][0]
-    di, dj = m.dim(i), m.dim(j)
-    gdims = []
-    for gv in gq.vertices:
-        if gv == w:
-            gdims.append(di + dj)
-        else:
-            gdims.append(m.dim(gv))
-    field = m.field
-    z = field.coerce(0)
-
-    def part_offset(v):
-        # the i part sits above the j part in the merged space
-        return 0 if v == i else di
-
+    glued, _, _ = glue_presentation(m.pres, i, j, merged_id)
+    ki, kj = m.pres.quiver.vertex_index[i], m.pres.quiver.vertex_index[j]
+    di, dj = m.dims[ki], m.dims[kj]
+    offset = {ki: 0, kj: di}  # the i part sits above the j part in the merged space
+    z = m.field.coerce(0)
     mats = []
-    for a in q.arrows:
-        src, tgt = a.source, a.target
-        block = m.mat(a.name)
-        nr = di + dj if tgt in (i, j) else m.dim(tgt)
-        nc = di + dj if src in (i, j) else m.dim(src)
-        r0 = part_offset(tgt) if tgt in (i, j) else 0
-        c0 = part_offset(src) if src in (i, j) else 0
+    for (si, ti), block in zip(m.pres.quiver.arrow_ends, m.mats):
+        nr = di + dj if ti in offset else m.dims[ti]
+        nc = di + dj if si in offset else m.dims[si]
+        r0, c0 = offset.get(ti, 0), offset.get(si, 0)
         grid = [[z] * nc for _ in range(nr)]
-        for r in range(block.nrows):
-            grid[r0 + r][c0:c0 + block.ncols] = block.rows[r]
-        mats.append(Matrix(field, nr, nc, tuple(tuple(row) for row in grid)))
-    return Representation(glued, field, tuple(gdims), tuple(mats))
+        for r, row in enumerate(block.rows):
+            grid[r0 + r][c0:c0 + block.ncols] = row
+        mats.append(Matrix(m.field, nr, nc, tuple(map(tuple, grid))))
+    # gluing puts the merged vertex where i was and drops j
+    dims = tuple(di + dj if k == ki else d for k, d in enumerate(m.dims) if k != kj)
+    return Representation(glued, m.field, dims, tuple(mats))
 
 
 def glue_induce(m: Representation, i: str, j: str, merged_id=None) -> Representation:
@@ -897,8 +892,9 @@ def glue_induce(m: Representation, i: str, j: str, merged_id=None) -> Representa
     the two vertices are rejected here; use the inessential variant for
     pairs that carry them.
     """
-    q = m.pres.quiver
-    if any({a.source, a.target} <= {i, j} for a in q.arrows):
+    at = m.pres.quiver.vertex_index
+    pair = {at.get(i), at.get(j)}
+    if any({si, ti} <= pair for si, ti in m.pres.quiver.arrow_ends):
         raise ShapeMismatch(
             f"arrows between {i!r} and {j!r} need glue_induce_inessential"
         )
@@ -921,17 +917,13 @@ def blow_induce(m: Representation, v: str) -> Representation:
     """Push a representation through the blow-up of ``v``: both primed
     copies inherit the space at ``v`` and the matrices of the incident
     arrows, so all duplicated relations and commutations hold."""
-    blown, vmap, amap = blow_presentation(m.pres, v)
-    bq = blown.quiver
-    old_of = {}
-    for name, copies in amap.items():
-        for c in copies:
-            old_of[c] = name
-    dims = []
-    for bv in bq.vertices:
-        dims.append(m.dim(v) if bv in vmap[v] else m.dim(bv))
-    mats = tuple(m.mat(old_of[a.name]) for a in bq.arrows)
-    return Representation(blown, m.field, tuple(dims), mats)
+    blown, _, _ = blow_presentation(m.pres, v)
+    k = m.pres.quiver.vertex_index[v]
+    # blowing up puts the two copies of v, and of each arrow at v, in place
+    dims = tuple(d for u, d in enumerate(m.dims) for _ in range(1 + (u == k)))
+    mats = tuple(x for ends, x in zip(m.pres.quiver.arrow_ends, m.mats)
+                 for _ in range(1 + (k in ends)))
+    return Representation(blown, m.field, dims, mats)
 
 
 def _section(field, dim, span_cols: Matrix) -> Matrix:
@@ -1110,14 +1102,7 @@ def _scan_catalog(pres, field, max_total, budget):
         raise SearchSpaceTooLarge("exhaustive scans need a finite field")
     q = pres.quiver
     ends = q.arrow_ends
-
-    def positions(word):
-        return tuple(q.arrow_index[a] for a in word)
-
-    relations = [(positions(w), None) for w in pres.zero_words()]
-    relations += [
-        (positions(lhs), positions(rhs)) for lhs, rhs in pres.commutation_pairs()
-    ]
+    relations = _relations(pres)
     catalog = []
     examined = tested = 0
     for total in range(1, max_total + 1):
@@ -1158,7 +1143,8 @@ def _weighted_multisets(entries, target):
 
 
 def _ext_basis(base, v) -> Matrix:
-    """Rows: coset representatives of a basis of Ext^1(base, S_v).
+    """Rows: coset representatives of a basis of Ext^1(base, S_v), for
+    ``v`` a vertex position.
 
     An extension by the simple at ``v`` is given by the top rows it adds
     to the arrows into ``v``, concatenated in arrow order.  Relations
@@ -1169,26 +1155,19 @@ def _ext_basis(base, v) -> Matrix:
     q = base.pres.quiver
     field = base.field
     zero, mod = field.coerce(0), field.modulus
-    ins = q.in_arrows(v)
+    ins = q.arrows_in[v]
     offsets = {}
     unknowns = 0
     for a in ins:
-        offsets[a.name] = unknowns
-        unknowns += base.dim(a.source)
+        offsets[a] = unknowns
+        unknowns += base.dims[q.arrow_ends[a][0]]
     # relations whose words end at v, each word as its unknown top row
     # times the rest of the word
-    constraints = [[(w, 1)] for w in base.pres.zero_words() if w[0] in offsets]
-    constraints += [
-        [(lhs, 1), (rhs, -1)]
-        for lhs, rhs in base.pres.commutation_pairs()
-        if lhs[0] in offsets
-    ]
+    constraints = [[(lhs, 1)] if rhs is None else [(lhs, 1), (rhs, -1)]
+                   for lhs, rhs in _relations(base.pres) if lhs[0] in offsets]
     rows = []
     for parts in constraints:
-        mats = [
-            (offsets[w[0]], path_matrix(base, w[1:], q.arrow(w[0]).source), sign)
-            for w, sign in parts
-        ]
+        mats = [(offsets[w[0]], _word_product(base.mats, w[1:]), sign) for w, sign in parts]
         for c in range(mats[0][1].ncols):
             row = [zero] * unknowns
             for off, cols, sign in mats:
@@ -1196,7 +1175,7 @@ def _ext_basis(base, v) -> Matrix:
                     row[off + r] += sign * cols.rows[r][c]
             rows.append(tuple(x % mod for x in row))
     cocycles = Matrix(field, len(rows), unknowns, tuple(rows)).nullspace()
-    span = [sum((base.mat(a.name).rows[t] for a in ins), ()) for t in range(base.dim(v))]
+    span = [sum((base.mats[a].rows[t] for a in ins), ()) for t in range(base.dims[v])]
     rank = Matrix(field, len(span), unknowns, tuple(span)).rank()
     basis = []
     for z in cocycles:
@@ -1207,23 +1186,23 @@ def _ext_basis(base, v) -> Matrix:
 
 
 def _extend(base, v, rvec):
-    """The extension of ``base`` by S_v whose new basis vector comes first
-    at ``v`` and whose arrows into ``v`` gain the top rows ``rvec``,
-    concatenated in arrow order; arrows out of ``v`` kill the new vector."""
+    """The extension of ``base`` by S_v, for ``v`` a vertex position,
+    whose new basis vector comes first at ``v`` and whose arrows into
+    ``v`` gain the top rows ``rvec``, concatenated in arrow order; arrows
+    out of ``v`` kill the new vector."""
     z = base.field.coerce(0)
     pos = 0
     mats = []
-    for a, bm in zip(base.pres.quiver.arrows, base.mats):
+    for (si, ti), bm in zip(base.pres.quiver.arrow_ends, base.mats):
         rows = bm.rows
-        if a.source == v:
+        if si == v:
             rows = tuple((z,) + r for r in rows)
-        if a.target == v:
+        if ti == v:
             top = tuple(rvec[pos:pos + bm.ncols])
             pos += bm.ncols
-            rows = ((z,) + top if a.source == v else top,) + rows
-        shape = (bm.nrows + (a.target == v), bm.ncols + (a.source == v))
-        mats.append(Matrix(base.field, *shape, rows))
-    dims = tuple(d + (u == v) for u, d in zip(base.pres.quiver.vertices, base.dims))
+            rows = ((z,) + top if si == v else top,) + rows
+        mats.append(Matrix(base.field, bm.nrows + (ti == v), bm.ncols + (si == v), rows))
+    dims = tuple(d + (u == v) for u, d in enumerate(base.dims))
     return Representation(base.pres, base.field, dims, tuple(mats))
 
 
@@ -1250,21 +1229,21 @@ def _closure_catalog(pres, field, max_total, budget):
                 "closure extends by simple submodules only, so it misses the modules on"
                 " which a cycle of arrows acts non-nilpotently; use method='scan'")
     q = pres.quiver
-    catalog = [simple_representation(pres, field, v) for v in q.vertices]
+    catalog = [simple_representation(pres, field, v) for v in q.vertices] if max_total else []
     examined = tested = len(catalog)
-    ext = []  # per class, vertex -> _ext_basis(class, vertex)
+    ext = []  # per class, per vertex position v, _ext_basis(class, v)
     for total in range(2, max_total + 1):
         found = []
-        ext += [{v: _ext_basis(u, v) for v in q.vertices} for u in catalog[len(ext):]]
+        ext += [[_ext_basis(u, v) for v in range(len(q.vertices))] for u in catalog[len(ext):]]
         entries = [(k, u.total) for k, u in enumerate(catalog)]
         for picks in _weighted_multisets(entries, total - 1):
             groups = [(k, picks.count(k)) for k in sorted(set(picks))]
             base = None
-            for v in q.vertices:
+            for v, name in enumerate(q.vertices):
                 dirs = sum(r * ext[k][v].nrows for k, r in groups)
                 if dirs > budget:
                     raise BudgetExceeded(
-                        f"{dirs} independent extension directions at {v!r},"
+                        f"{dirs} independent extension directions at {name!r},"
                         f" over the budget {budget}"
                     )
                 examined += field.size ** dirs - 1
@@ -1282,8 +1261,8 @@ def _closure_catalog(pres, field, max_total, budget):
                     # groups; rvec then lays them out arrow by arrow, as base does
                     comps = [iter(row) for (k, _), c in zip(groups, pick)
                              for row in (c * ext[k][v]).rows]
-                    rvec = [x for a in q.in_arrows(v) for k, it in zip(picks, comps)
-                            for x in itertools.islice(it, catalog[k].dim(a.source))]
+                    rvec = [x for a in q.arrows_in[v] for k, it in zip(picks, comps)
+                            for x in itertools.islice(it, catalog[k].dims[q.arrow_ends[a][0]])]
                     m = _extend(base, v, rvec)
                     tested += 1
                     same = [u for u in found if u.dims == m.dims]
@@ -1351,16 +1330,16 @@ def random_representation(pres: Presentation, field, rng, max_dim: int = 2):
     """A random representation of a relation-free presentation."""
     if pres.relations:
         raise ShapeMismatch("random sampling only fills relation-free shapes")
-    q = pres.quiver
-    dims = {v: rng.randrange(max_dim + 1) for v in q.vertices}
-    mats = {}
-    for a in q.arrows:
-        nr, nc = dims[a.target], dims[a.source]
+    dims = tuple(rng.randrange(max_dim + 1) for _ in pres.quiver.vertices)
+    mats = []
+    for si, ti in pres.quiver.arrow_ends:
+        nr, nc = dims[ti], dims[si]
         if nr == 0 or nc == 0:
-            continue
-        if field.size is not None:
-            entries = [[rng.randrange(field.size) for _ in range(nc)] for _ in range(nr)]
+            mats.append(Matrix.zeros(field, nr, nc))
+        elif field.size is not None:
+            mats.append(Matrix.from_rows(field, [
+                [rng.randrange(field.size) for _ in range(nc)] for _ in range(nr)]))
         else:
-            entries = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(nr)]
-        mats[a.name] = entries
-    return make_representation(pres, field, dims, mats)
+            mats.append(Matrix.from_rows(field, [
+                [rng.randint(-2, 2) for _ in range(nc)] for _ in range(nr)]))
+    return Representation(pres, field, dims, tuple(mats))

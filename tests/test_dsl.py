@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -105,6 +106,22 @@ def test_json_emission_round_trips():
         presentation_from_json("not json")
     with pytest.raises(ValueError):
         presentation_from_json(json.dumps({"vertices": []}))
+
+
+def test_json_of_the_wrong_shape_names_the_field():
+    good = {"vertices": ["a", "b"], "arrows": [{"name": "x", "source": "a", "target": "b"}],
+            "relations": []}
+    cases = [
+        ("[]", "the top level"),
+        ("5", "the top level"),
+        (json.dumps(dict(good, vertices=5)), "vertices"),
+        (json.dumps(dict(good, arrows=[5])), "arrows[0]"),
+        (json.dumps(dict(good, vertices=[[1], "b"])), "vertices[0]"),
+    ]
+    for text, field in cases:
+        with pytest.raises(ValueError, match=re.escape(f"{field} in presentation json must be")):
+            presentation_from_json(text)
+    assert presentation_from_json(json.dumps(good)).quiver.vertices == ("a", "b")
 
 
 def test_dot_marks_operated_vertices():

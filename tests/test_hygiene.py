@@ -110,6 +110,40 @@ def test_src_uses_quiver_index_maps():
     assert {name: places for name, places in found.items() if places} == {}
 
 
+def name_incidence(path: Path) -> list[str]:
+    """Places in ``path`` that work out incidence from names: calls of
+    ``in_arrows``, ``out_arrows`` or ``arrow``, and loops or
+    comprehensions over some ``.arrows`` that read an arrow's ``.source``
+    or ``.target``; each is given with its top-level definition."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for top in tree.body:
+        where = getattr(top, "name", "module")
+        scans = [(node.iter, node.target, node) for node in ast.walk(top)
+                 if isinstance(node, (ast.For, ast.AsyncFor))]
+        scans += [(gen.iter, gen.target, node) for node in ast.walk(top)
+                  if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp))
+                  for gen in node.generators]
+        for over, target, scope in scans:
+            if not any(isinstance(n, ast.Attribute) and n.attr == "arrows" for n in ast.walk(over)):
+                continue
+            bound = {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+            found += [f"{where}:{n.lineno}: {n.value.id}.{n.attr}" for n in ast.walk(scope)
+                      if isinstance(n, ast.Attribute) and n.attr in ("source", "target")
+                      and isinstance(n.value, ast.Name) and n.value.id in bound]
+        found += [f"{where}:{n.lineno}: {n.func.attr}(" for n in ast.walk(top)
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and n.func.attr in ("in_arrows", "out_arrows", "arrow")]
+    return sorted(set(found))
+
+
+def test_reps_reads_arrow_incidence_by_position():
+    # inside reps an arrow or a vertex is a position: incidence comes from
+    # Quiver.arrows_out, arrows_in and arrow_ends, names only from the
+    # caller of a public entry point
+    assert name_incidence(SRC / "reps.py") == []
+
+
 def test_src_solves_off_the_reduced_rows():
     # Matrix.rref builds a whole echelon Matrix; the library reads
     # Matrix._reduced instead, and rref stays only as public API

@@ -29,7 +29,15 @@ from nodalq.quiver import (
     UnknownVertex,
 )
 
-from util import line_quiver, random_presentation, seeded
+from util import (
+    in_arrows_by_scan,
+    is_acyclic_by_names,
+    line_quiver,
+    out_arrows_by_scan,
+    random_presentation,
+    seeded,
+    undirected_components_by_names,
+)
 
 
 def _star(center, leaves):
@@ -66,6 +74,49 @@ def test_arrow_lookup_and_degrees():
     loop = Quiver(("x",), (Arrow("l", "x", "x"),))
     assert [a.name for a in loop.in_arrows("x")] == ["l"]
     assert [a.name for a in loop.out_arrows("x")] == ["l"]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_incidence_and_walks_match_name_oracles():
+    # arrows_out/arrows_in against a scan of arrow_ends; the name-level
+    # lookups and the graph walks against their versions over names
+    rng = seeded(20261022)
+    seen = dict.fromkeys(("loop", "parallel", "isolated", "acyclic", "cyclic", "split"), 0)
+    for _ in range(400):
+        vs = tuple(f"v{k}" for k in range(rng.randint(1, 7)))
+        forward = rng.random() < 0.4  # arrows only from earlier to later vertices
+        arrows = []
+        for k in range(rng.randint(0, 9)):
+            s, t = rng.choice(vs), rng.choice(vs)
+            if forward and vs.index(s) >= vs.index(t):
+                continue
+            arrows.append(Arrow(f"a{k}", s, t))
+        q = Quiver(vs, tuple(arrows))
+        assert "arrows_out" not in vars(q) and "arrows_in" not in vars(q)
+        ends = q.arrow_ends
+        assert q.arrows_out == tuple(
+            tuple(a for a, (s, _) in enumerate(ends) if s == v) for v in range(len(vs)))
+        assert q.arrows_in == tuple(
+            tuple(a for a, (_, t) in enumerate(ends) if t == v) for v in range(len(vs)))
+        for v in vs + ("absent",):
+            assert _outcome(q.in_arrows, v) == _outcome(in_arrows_by_scan, q, v)
+            assert _outcome(q.out_arrows, v) == _outcome(out_arrows_by_scan, q, v)
+        acyclic = q.is_acyclic()
+        assert acyclic == is_acyclic_by_names(q)
+        comps = q.undirected_components()
+        assert comps == undirected_components_by_names(q)
+        seen["loop"] += any(s == t for s, t in ends)
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["isolated"] += any(not (q.arrows_out[v] or q.arrows_in[v]) for v in range(len(vs)))
+        seen["acyclic" if acyclic else "cyclic"] += 1
+        seen["split"] += len(comps) > 1
+    assert min(seen.values()) > 30, seen
 
 
 def test_acyclicity_and_components():

@@ -29,6 +29,7 @@ from nodalq import (
     decompose,
     direct_sum,
     enumerate_indecomposables,
+    glue_induce,
     glue_restrict_inessential,
     has_simple_summand_at,
     has_summand,
@@ -45,6 +46,7 @@ from nodalq import (
     simple_summand_multiplicity,
     split_summand,
     strip_simple_summands,
+    validate,
     zero_representation,
 )
 
@@ -62,9 +64,12 @@ from nodalq.reps import (
 )
 from util import (
     _support_connected,
+    blow_induce_by_names,
     closure_catalog,
     decompose_by_peeling,
     decompose_by_top_rank,
+    glue_blocks_by_names,
+    glue_induce_by_names,
     glue_restrict_by_arrow_cases,
     hom_space_by_uidx,
     is_indecomposable_by_sweep,
@@ -487,6 +492,40 @@ def test_pull_back_matches_arrow_case_oracle():
                 else:
                     assert got[0] is ShapeMismatch, got
                     seen["not inessential" if "inessential" in got[1] else "foreign"] += 1
+        seen["loop"] += any(a.source == a.target for a in q.arrows)
+        ends = [(a.source, a.target) for a in q.arrows]
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["zero vertex"] += 0 in m.dims
+    assert min(seen.values()) > 20, seen
+
+
+def test_push_forwards_match_name_oracles():
+    # the gluing and the blow-up place arrows by position; the oracles
+    # look every arrow and vertex up by name
+    rng = seeded(20261022)
+    fields = [F2, F3, QQ]
+    seen = {"glued": 0, "between": 0, "blown": 0, "loop at blown": 0, "unknown": 0,
+            "loop": 0, "parallel": 0, "zero vertex": 0}
+    for trial in range(150):
+        q = _random_quiver(rng)
+        m = _base_changed(random_representation(hereditary(q), fields[trial % 3], rng), rng)
+        names = q.vertices + ("absent",)
+        for i, j in itertools.product(names, repeat=2):
+            assert _outcome(_glue_blocks, m, i, j, None) == _outcome(
+                glue_blocks_by_names, m, i, j, None), (m, i, j)
+            got = _outcome(glue_induce, m, i, j)
+            assert got == _outcome(glue_induce_by_names, m, i, j), (m, i, j)
+            if isinstance(got, Representation):
+                seen["glued"] += 1
+            else:
+                seen["between" if got[0] is ShapeMismatch else "unknown"] += 1
+        for v in names:
+            got = _outcome(blow_induce, m, v)
+            assert got == _outcome(blow_induce_by_names, m, v), (m, v)
+            if isinstance(got, Representation):
+                seen["blown"] += 1
+            else:
+                seen["loop at blown" if "loop" in got[1] else "unknown"] += 1
         seen["loop"] += any(a.source == a.target for a in q.arrows)
         ends = [(a.source, a.target) for a in q.arrows]
         seen["parallel"] += len(set(ends)) < len(ends)
@@ -1053,6 +1092,23 @@ def test_weighted_multisets_keep_the_recursive_order():
 def _corpus_presentation(name):
     text = (Path(__file__).resolve().parent.parent / "data" / f"{name}.datum").read_text()
     return build_presentation(parse_datum(text))[0]
+
+
+def test_methods_agree_at_total_zero_on_the_corpus():
+    # at bound 0 there is no indecomposable to find and no candidate to
+    # consider; closure used to hand back the simples
+    built = 0
+    for path in sorted((Path(__file__).resolve().parent.parent / "data").glob("*.datum")):
+        d = parse_datum(path.read_text())
+        if not validate(d).ok:
+            continue
+        pres = build_presentation(d)[0]
+        built += 1
+        for field in (F2, F3):
+            for method in ("scan", "closure"):
+                got = enumerate_indecomposables(pres, field, 0, method=method)
+                assert (got.classes, got.examined, got.tested) == ((), 0, 0), (path.name, method)
+    assert built == 10
 
 
 def test_closure_pruning_matches_unpruned_oracle():

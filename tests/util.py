@@ -41,6 +41,10 @@ The stripping and pull-back oracles are the library versions before both
 went through one restriction with ``None`` for an untouched vertex: one
 restriction per stripped vertex against identity bases elsewhere, and a
 pull-back that places every arrow by which glued copy it touches.
+The incidence oracles are the quiver walks and push-forwards before they
+read the arrow positions of ``Quiver.arrows_out`` and ``arrows_in``:
+scans of the arrows for a vertex name, graph walks over name-keyed dicts,
+and gluings and blow-ups that look every arrow up by name.
 """
 
 from __future__ import annotations
@@ -65,9 +69,11 @@ from nodalq import (
     Quiver,
     Representation,
     SearchSpaceTooLarge,
+    blow_presentation,
     glue_presentation,
 )
 from nodalq.linalg import SUPPORTED_PRIMES, all_matrices
+from nodalq.quiver import UnknownVertex
 from nodalq.reps import (
     ShapeMismatch,
     _columns_matrix,
@@ -920,6 +926,132 @@ def glue_restrict_by_arrow_cases(
             raise RuntimeError("ending arrow image escaped the joint image")
         mats.append(solved)
     return Representation(base_pres, field, tuple(dims), tuple(mats))
+
+
+# ---------------------------------------------------------------------------
+# name-level incidence oracles: the quiver walks and push-forwards before
+# they read Quiver.arrows_out, arrows_in and arrow_ends
+
+def in_arrows_by_scan(q: Quiver, v: str):
+    if v not in q.vertex_index:
+        raise UnknownVertex(f"unknown vertex {v!r}")
+    return tuple(a for a in q.arrows if a.target == v)
+
+
+def out_arrows_by_scan(q: Quiver, v: str):
+    if v not in q.vertex_index:
+        raise UnknownVertex(f"unknown vertex {v!r}")
+    return tuple(a for a in q.arrows if a.source == v)
+
+
+def is_acyclic_by_names(q: Quiver) -> bool:
+    # iterative DFS with colors; loops and multi-arrows allowed
+    out = {v: [] for v in q.vertices}
+    for a in q.arrows:
+        out[a.source].append(a.target)
+    color = {v: 0 for v in q.vertices}  # 0 white, 1 gray, 2 black
+    for root in q.vertices:
+        if color[root]:
+            continue
+        stack = [(root, iter(out[root]))]
+        color[root] = 1
+        while stack:
+            v, it = stack[-1]
+            nxt = next(it, None)
+            if nxt is None:
+                color[v] = 2
+                stack.pop()
+            elif color[nxt] == 1:
+                return False
+            elif color[nxt] == 0:
+                color[nxt] = 1
+                stack.append((nxt, iter(out[nxt])))
+    return True
+
+
+def undirected_components_by_names(q: Quiver):
+    """Connected components of the underlying undirected graph.
+
+    Vertices inside a component keep quiver order; components are
+    ordered by their first vertex.
+    """
+    adj = {v: set() for v in q.vertices}
+    for a in q.arrows:
+        adj[a.source].add(a.target)
+        adj[a.target].add(a.source)
+    seen: set[str] = set()
+    comps = []
+    for v in q.vertices:
+        if v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(tuple(x for x in q.vertices if x in comp))
+    return tuple(comps)
+
+
+def glue_blocks_by_names(m: Representation, i: str, j: str, merged_id):
+    glued, vmap, _ = glue_presentation(m.pres, i, j, merged_id)
+    q = m.pres.quiver
+    gq = glued.quiver
+    w = vmap[i][0]
+    di, dj = m.dim(i), m.dim(j)
+    gdims = []
+    for gv in gq.vertices:
+        if gv == w:
+            gdims.append(di + dj)
+        else:
+            gdims.append(m.dim(gv))
+    field = m.field
+    z = field.coerce(0)
+
+    def part_offset(v):
+        # the i part sits above the j part in the merged space
+        return 0 if v == i else di
+
+    mats = []
+    for a in q.arrows:
+        src, tgt = a.source, a.target
+        block = m.mat(a.name)
+        nr = di + dj if tgt in (i, j) else m.dim(tgt)
+        nc = di + dj if src in (i, j) else m.dim(src)
+        r0 = part_offset(tgt) if tgt in (i, j) else 0
+        c0 = part_offset(src) if src in (i, j) else 0
+        grid = [[z] * nc for _ in range(nr)]
+        for r in range(block.nrows):
+            grid[r0 + r][c0:c0 + block.ncols] = block.rows[r]
+        mats.append(Matrix(field, nr, nc, tuple(tuple(row) for row in grid)))
+    return Representation(glued, field, tuple(gdims), tuple(mats))
+
+
+def glue_induce_by_names(m: Representation, i: str, j: str, merged_id=None) -> Representation:
+    q = m.pres.quiver
+    if any({a.source, a.target} <= {i, j} for a in q.arrows):
+        raise ShapeMismatch(
+            f"arrows between {i!r} and {j!r} need glue_induce_inessential"
+        )
+    return glue_blocks_by_names(m, i, j, merged_id)
+
+
+def blow_induce_by_names(m: Representation, v: str) -> Representation:
+    blown, vmap, amap = blow_presentation(m.pres, v)
+    bq = blown.quiver
+    old_of = {}
+    for name, copies in amap.items():
+        for c in copies:
+            old_of[c] = name
+    dims = []
+    for bv in bq.vertices:
+        dims.append(m.dim(v) if bv in vmap[v] else m.dim(bv))
+    mats = tuple(m.mat(old_of[a.name]) for a in bq.arrows)
+    return Representation(blown, m.field, tuple(dims), mats)
 
 
 # ---------------------------------------------------------------------------
