@@ -14,6 +14,11 @@ arrow's endpoints (n = 3) has its own table.  Everything else is wild.
 
 Verdicts combine across components by worst case; an unresolved
 component absorbs tame ones because the join cannot be certified tame.
+
+Each public entry prepares its datum once: it validates it, requires a
+line/cycle base and strips the inessential gluings.  The private rules
+read a prepared datum and never prepare again; a component of one is
+prepared as it stands.
 """
 
 from __future__ import annotations
@@ -220,10 +225,13 @@ def is_gentle_presentation(p: Presentation) -> GentleReport:
 def is_quasi_gentle(d: NodalDatum) -> bool:
     """True when, after stripping, every operated vertex has at most one
     in-arrow and at most one out-arrow in the base quiver."""
-    s = _stripped(d)
+    return _is_quasi_gentle(_stripped(d))
+
+
+def _is_quasi_gentle(s: NodalDatum) -> bool:
     operated = [v for pair in s.glue_pairs for v in pair]
     operated.extend(s.blow_vertices)
-    base = d.base
+    base = s.base
     return all(
         len(base.in_arrows(v)) <= 1 and len(base.out_arrows(v)) <= 1 for v in operated
     )
@@ -291,6 +299,33 @@ def _try_configuration(order, edges, pi: int, pj: int, case: str):
     return ExceptionalParams(n, m, l, case)
 
 
+def _match(q: Quiver, pair) -> tuple[Detection, list[str]]:
+    """The single-gluing detection of an essential pair of ``q``, and the
+    walked vertex order of its line component (empty when none was
+    walked)."""
+    i, j = pair
+    shape = next(sh for sh in underlying_shape(q).components if i in sh.vertices)
+    if j not in shape.vertices:
+        note = "glued vertices lie in different base components, so no cycle forms"
+        return Detection(None, (note,)), []
+    if shape.label != ALINE:
+        note = (
+            "the glued pair lies on a cycle-shaped base component; such"
+            " configurations are outside the classified tables and are"
+            " treated as not matching"
+        )
+        return Detection(None, (note,)), []
+    order, edges = _line_walk(q, shape.vertices)
+    pos = {v: k for k, v in enumerate(order)}
+    for iv, jv in ((i, j), (j, i)):
+        for case in ("one", "two"):
+            params = _try_configuration(order, edges, pos[iv], pos[jv], case)
+            if params is not None:
+                return Detection(params), order
+    note = "arrow orientations around the glued pair match neither configuration"
+    return Detection(None, (note,)), order
+
+
 def detect_exceptional(d: NodalDatum) -> Detection:
     """Recognize the single-essential-gluing cycle-with-two-tails shape.
 
@@ -299,48 +334,26 @@ def detect_exceptional(d: NodalDatum) -> Detection:
     component oriented so that the merged vertex carries an n-arrow
     cycle plus two mandatory pendant arrows with free tails.
     """
-    s = _stripped(d)
+    return _detect_exceptional(_stripped(d))
+
+
+def _detect_exceptional(s: NodalDatum) -> Detection:
     if len(s.glue_pairs) != 1:
         return Detection(
             None, (f"need exactly one essential gluing, found {len(s.glue_pairs)}",)
         )
     if s.blow_vertices:
         return Detection(None, ("blow-ups present alongside the gluing",))
-    i, j = s.glue_pairs[0]
-    comp = next(c for c in d.base.undirected_components() if i in c)
-    if j not in comp:
-        return Detection(
-            None,
-            ("glued vertices lie in different base components, so no cycle forms",),
-        )
-    shape = next(
-        sh for sh in underlying_shape(d.base).components if sh.vertices == comp
-    )
-    if shape.label != ALINE:
-        return Detection(
-            None,
-            (
-                "the glued pair lies on a cycle-shaped base component; such"
-                " configurations are outside the classified tables and are"
-                " treated as not matching",
-            ),
-        )
-    order, edges = _line_walk(d.base, comp)
-    pos = {v: k for k, v in enumerate(order)}
-    for iv, jv in ((i, j), (j, i)):
-        for case in ("one", "two"):
-            params = _try_configuration(order, edges, pos[iv], pos[jv], case)
-            if params is not None:
-                return Detection(params)
-    return Detection(
-        None, ("arrow orientations around the glued pair match neither configuration",)
-    )
+    return _match(s.base, s.glue_pairs[0])[0]
 
 
 def detect_super_exceptional(d: NodalDatum) -> Detection:
     """Recognize the n = 3 cycle shape with its middle arrow's endpoints
     glued by a second essential gluing."""
-    s = _stripped(d)
+    return _detect_super_exceptional(_stripped(d))
+
+
+def _detect_super_exceptional(s: NodalDatum) -> Detection:
     if len(s.glue_pairs) != 2:
         return Detection(
             None, (f"need exactly two essential gluings, found {len(s.glue_pairs)}",)
@@ -348,33 +361,24 @@ def detect_super_exceptional(d: NodalDatum) -> Detection:
     if s.blow_vertices:
         return Detection(None, ("blow-ups present alongside the gluings",))
     notes = []
-    for k in (0, 1):
-        exc_pair, other = s.glue_pairs[k], s.glue_pairs[1 - k]
-        det = detect_exceptional(NodalDatum(d.base, (exc_pair,), ()))
+    for exc_pair, other in (s.glue_pairs, s.glue_pairs[::-1]):
+        det, order = _match(s.base, exc_pair)
         if not det:
             continue
-        if det.params.n != 3:
+        p = det.params
+        if p.n != 3:
             notes.append(
-                f"gluing ({exc_pair[0]}, {exc_pair[1]}) matches with n={det.params.n},"
+                f"gluing ({exc_pair[0]}, {exc_pair[1]}) matches with n={p.n},"
                 " but the doubly-glued shape needs n=3"
             )
             continue
-        i, j = exc_pair
-        comp = next(c for c in d.base.undirected_components() if i in c)
-        order, _ = _line_walk(d.base, comp)
-        pos = {v: t for t, v in enumerate(order)}
-        lo = min(pos[i], pos[j])
-        middle_ends = {order[lo + 1], order[lo + 2]}
-        if set(other) != middle_ends:
+        lo = min(map(order.index, exc_pair))
+        if set(other) != {order[lo + 1], order[lo + 2]}:
             notes.append(
                 f"second gluing ({other[0]}, {other[1]}) does not join the"
                 " endpoints of the middle cycle arrow"
             )
             continue
-        if is_inessential(d, other):
-            notes.append("the middle-arrow gluing is inessential")
-            continue
-        p = det.params
         return Detection(ExceptionalParams(3, p.m, p.l, p.case, is_super=True))
     return Detection(None, tuple(notes))
 
@@ -418,11 +422,6 @@ def exceptional_type(p: ExceptionalParams) -> RepType:
     )
 
 
-def _relation_component(pres: Presentation, r, comp_of: dict[str, int]) -> int:
-    word = r.path.arrows if isinstance(r, MonomialZero) else r.lhs.arrows
-    return comp_of[pres.quiver.arrow(word[0]).target]
-
-
 def classify(d: NodalDatum) -> RepType:
     """Decide the representation type of the algebra presented by a datum.
 
@@ -448,26 +447,28 @@ def classify(d: NodalDatum) -> RepType:
 
     glued_comps = pres.quiver.undirected_components()
     comp_of = {v: k for k, c in enumerate(glued_comps) for v in c}
-    rel_comp_counts = {k: 0 for k in range(len(glued_comps))}
-    for r in pres.relations:
-        rel_comp_counts[_relation_component(pres, r, comp_of)] += 1
+    related = {
+        comp_of[(r.path if isinstance(r, MonomialZero) else r.lhs).target]
+        for r in pres.relations
+    }
 
     verdicts = []
     for k, comp in enumerate(glued_comps):
         label = f"component of {comp[0]!r}"
-        if rel_comp_counts[k] == 0:
+        if k not in related:
             g = gabriel_type(_induced_quiver(pres.quiver, comp))
             verdicts.append(g.verdict)
             trace.append(f"{label}: relation-free")
             trace.extend(g.trace)
             continue
+        # whole base components of a prepared datum: prepared as it stands
         base_vs = {v for v in d.base.vertices if comp_of[gmap.vertex_map[v][0]] == k}
         sub = NodalDatum(
             _induced_quiver(d.base, base_vs),
             tuple(p for p in s.glue_pairs if p[0] in base_vs),
             tuple(v for v in s.blow_vertices if v in base_vs),
         )
-        if is_quasi_gentle(sub):
+        if _is_quasi_gentle(sub):
             verdicts.append(NON_WILD_UNRESOLVED)
             trace.append(
                 f"{label}: every operated vertex keeps at most one in- and one"
@@ -475,24 +476,23 @@ def classify(d: NodalDatum) -> RepType:
                 " the finite-vs-tame split is left unresolved"
             )
             continue
-        det = detect_exceptional(sub)
-        if det:
-            t = exceptional_type(det.params)
-            verdicts.append(t.verdict)
-            trace.append(f"{label}: single-gluing cycle shape recognized")
-            trace.extend(t.trace)
-            continue
-        det2 = detect_super_exceptional(sub)
-        if det2:
-            t = exceptional_type(det2.params)
-            verdicts.append(t.verdict)
-            trace.append(f"{label}: doubly-glued cycle shape recognized")
-            trace.extend(t.trace)
-            continue
-        verdicts.append(WILD)
-        trace.append(f"{label}: no non-wild configuration matches: Wild")
-        for note in det.notes + det2.notes:
-            trace.append(f"{label}: {note}")
+        notes = []
+        for rule, shape in (
+            (_detect_exceptional, "single-gluing"),
+            (_detect_super_exceptional, "doubly-glued"),
+        ):
+            det = rule(sub)
+            if det:
+                t = exceptional_type(det.params)
+                verdicts.append(t.verdict)
+                trace.append(f"{label}: {shape} cycle shape recognized")
+                trace.extend(t.trace)
+                break
+            notes.extend(det.notes)
+        else:
+            verdicts.append(WILD)
+            trace.append(f"{label}: no non-wild configuration matches: Wild")
+            trace.extend(f"{label}: {note}" for note in notes)
 
     combined = max(verdicts, key=lambda v: _SEVERITY[v])
     if combined == NON_WILD_UNRESOLVED and TAME in verdicts:

@@ -285,6 +285,19 @@ class Presentation:
         return hash(key), key
 
     @cached_property
+    def _relation_words(self) -> tuple:
+        """The relations as pairs of words over arrow positions: the zero
+        words in ``zero_words`` order with None as the second word, then
+        the pairs of ``commutation_pairs``."""
+        index = self.quiver.arrow_index
+
+        def positions(word):
+            return tuple(map(index.__getitem__, word))
+
+        return tuple([(positions(w), None) for w in self.zero_words()] + [
+            (positions(lhs), positions(rhs)) for lhs, rhs in self.commutation_pairs()])
+
+    @cached_property
     def _derived(self) -> dict:
         """The presentations ``construct`` glued or blew up from this one,
         keyed by operation and arguments."""
@@ -435,10 +448,10 @@ def underlying_shape(q: Quiver) -> ShapeReport:
     Other.  Orientation is ignored except for the global ``acyclic``
     flag.
     """
-    comps = q.undirected_components()
+    vs, ends, out = q.vertices, q.arrow_ends, q.arrows_out
     shapes = []
-    for comp in comps:
-        cset = set(comp)
-        edges = [(a.source, a.target) for a in q.arrows if a.source in cset]
+    for comp in q.undirected_components():
+        edges = [(vs[ends[a][0]], vs[ends[a][1]])
+                 for k in map(q.vertex_index.__getitem__, comp) for a in out[k]]
         shapes.append(_component_shape(comp, edges))
     return ShapeReport(tuple(shapes), q.is_acyclic())

@@ -229,18 +229,6 @@ def path_matrix(m: Representation, word: tuple[str, ...], source=None) -> Matrix
     return out
 
 
-def _relations(pres: Presentation) -> list:
-    """The relations as pairs of words over arrow positions, zero words
-    first with None as the second word, then the commutation pairs."""
-    index = pres.quiver.arrow_index
-
-    def positions(word):
-        return tuple(map(index.__getitem__, word))
-
-    return [(positions(w), None) for w in pres.zero_words()] + [
-        (positions(lhs), positions(rhs)) for lhs, rhs in pres.commutation_pairs()]
-
-
 def check_relations(m: Representation):
     """Return (ok, problems) for the presentation's relations."""
     arrows = m.pres.quiver.arrows
@@ -249,7 +237,7 @@ def check_relations(m: Representation):
         return '·'.join(arrows[k].name for k in word)
 
     problems = []
-    for lhs, rhs in _relations(m.pres):
+    for lhs, rhs in m.pres._relation_words:
         if rhs is None:
             if not _word_product(m.mats, lhs).is_zero():
                 problems.append(f"word {written(lhs)} does not vanish")
@@ -1102,7 +1090,7 @@ def _scan_catalog(pres, field, max_total, budget):
         raise SearchSpaceTooLarge("exhaustive scans need a finite field")
     q = pres.quiver
     ends = q.arrow_ends
-    relations = _relations(pres)
+    relations = pres._relation_words
     catalog = []
     examined = tested = 0
     for total in range(1, max_total + 1):
@@ -1164,7 +1152,7 @@ def _ext_basis(base, v) -> Matrix:
     # relations whose words end at v, each word as its unknown top row
     # times the rest of the word
     constraints = [[(lhs, 1)] if rhs is None else [(lhs, 1), (rhs, -1)]
-                   for lhs, rhs in _relations(base.pres) if lhs[0] in offsets]
+                   for lhs, rhs in base.pres._relation_words if lhs[0] in offsets]
     rows = []
     for parts in constraints:
         mats = [(offsets[w[0]], _word_product(base.mats, w[1:]), sign) for w, sign in parts]

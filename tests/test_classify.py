@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import importlib
+import itertools
+from pathlib import Path
+
 import pytest
 
 from nodalq import (
@@ -10,6 +14,7 @@ from nodalq import (
     Arrow,
     CyclicQuiver,
     ExceptionalParams,
+    InvalidDatum,
     NodalDatum,
     NotTypeA,
     Quiver,
@@ -22,20 +27,30 @@ from nodalq import (
     is_gentle_presentation,
     is_inessential,
     is_quasi_gentle,
+    parse_datum,
     strip_inessential,
     tits_witness,
 )
 from nodalq.classify import UnknownPair
 
 from util import (
+    classify_by_restripping,
+    detect_exceptional_by_restripping,
+    detect_super_exceptional_by_restripping,
     exceptional_datum,
+    is_quasi_gentle_by_restripping,
     line_quiver,
+    random_blow_datum,
     random_degree_violation_datum,
+    random_glue_datum,
+    random_line_glue_datum,
     random_quasi_gentle_datum,
     seeded,
     super_datum,
     worked_example_datum,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def _glue(q, *pairs):
@@ -312,3 +327,86 @@ def test_classify_wild_fallback_for_unmatched_configurations():
     with pytest.raises(NotTypeA):
         # the base component is a D-shaped tree, refused upfront
         classify(_glue(q, ("s", "u")))
+
+
+# ---------------------------------------------------------------------------
+# one preparation per public call, against the rules that re-prepared
+
+RULES = (
+    (classify, classify_by_restripping),
+    (is_quasi_gentle, is_quasi_gentle_by_restripping),
+    (detect_exceptional, detect_exceptional_by_restripping),
+    (detect_super_exceptional, detect_super_exceptional_by_restripping),
+)
+
+
+def _classifier_data():
+    """The corpus, 300 data from each random generator, every single- and
+    doubly-glued shape over small parameters, and those shapes spoiled
+    by a second gluing, a blow-up or an overlapping pair."""
+    data = [parse_datum(p.read_text(encoding="utf-8")) for p in sorted(DATA.glob("*.datum"))]
+    rng = seeded(20261022)
+    for gen in (random_glue_datum, random_blow_datum, random_line_glue_datum,
+                random_quasi_gentle_datum):
+        data += [gen(rng) for _ in range(300)]
+    shapes = [exceptional_datum(n, m, l, case, flip)
+              for n, m, l in itertools.product(range(1, 5), range(3), range(3))
+              for case in ("one", "two") for flip in (0, 1)]
+    shapes += [super_datum(m, l, case)
+               for m, l in itertools.product(range(3), repeat=2) for case in ("one", "two")]
+    data += shapes
+    for k, d in enumerate(shapes):
+        first = d.glue_pairs[0]
+        free = [v for v in d.base.vertices if v not in first]
+        if k % 5 == 0:
+            # every second pair, listed after and before the first
+            for pair in itertools.combinations(free, 2):
+                data.append(NodalDatum(d.base, (first, pair), ()))
+                data.append(NodalDatum(d.base, (pair, first), ()))
+        data.append(NodalDatum(d.base, d.glue_pairs, (free[-1],)))
+        data.append(NodalDatum(d.base, (first, (first[0], free[0])), ()))
+    return data
+
+
+def _outcome(rule, d):
+    """What ``rule`` answers on ``d``, or the type and message it raises."""
+    try:
+        return rule(d)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_classifier_matches_restripping_oracle():
+    # verdicts and traces, detections with their parameters and notes,
+    # and refusals with their messages, as before one preparation per call
+    data = _classifier_data()
+    assert len(data) >= 1000
+    seen = dict.fromkeys((FINITE, TAME, WILD, NON_WILD_UNRESOLVED, NotTypeA, InvalidDatum,
+                          "super", "off the middle", "n != 3", "blow-ups"), 0)
+    for d in data:
+        got = [_outcome(rule, d) for rule, _ in RULES]
+        assert got == [_outcome(oracle, d) for _, oracle in RULES], d
+        verdict, det = got[0], got[3]
+        seen[verdict[0] if isinstance(verdict, tuple) else verdict.verdict] += 1
+        if isinstance(det, tuple):
+            continue
+        seen["super"] += bool(det)
+        seen["off the middle"] += any("middle cycle arrow" in n for n in det.notes)
+        seen["n != 3"] += any("needs n=3" in n for n in det.notes)
+        seen["blow-ups"] += any("blow-ups" in n for n in det.notes)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_each_public_call_prepares_its_datum_once(monkeypatch):
+    # classify and every public rule validate, guard and strip once; the
+    # private rules read that prepared datum
+    module = importlib.import_module("nodalq.classify")
+    prepare = module._stripped
+    calls = []
+    monkeypatch.setattr(module, "_stripped", lambda d: calls.append(d) or prepare(d))
+    for d in _classifier_data()[::3]:
+        for rule, _ in RULES:
+            calls.clear()
+            _outcome(rule, d)
+            assert calls == [d], (rule.__name__, d)
+

@@ -175,3 +175,31 @@ def test_src_forms_morphisms_only_at_the_public_api():
                 elif isinstance(node, ast.Attribute) and node.attr == "basis":
                     uses.append(f"{path.name}:{node.lineno}: .basis")
     assert uses == []
+
+
+PUBLIC_RULES = ("is_quasi_gentle", "detect_exceptional", "detect_super_exceptional",
+                "is_inessential")
+
+
+def repeated_preparations(path: Path) -> list[str]:
+    """Calls in ``path`` that prepare a datum again: a private function
+    calling ``_stripped``, and ``classify`` or a private function calling
+    a public rule, which prepares its own input."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for top in tree.body:
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        private = top.name.startswith("_")
+        banned = (("_stripped",) if private else ()) + (
+            PUBLIC_RULES if private or top.name == "classify" else ())
+        found += [f"{top.name}:{n.lineno}: {n.func.id}(" for n in ast.walk(top)
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id in banned]
+    return found
+
+
+def test_classifier_prepares_a_datum_once():
+    # the public entry points validate and strip; classify and the private
+    # rules read the prepared datum
+    assert repeated_preparations(SRC / "classify.py") == []

@@ -37,6 +37,7 @@ from util import (
     random_presentation,
     seeded,
     undirected_components_by_names,
+    underlying_shape_by_names,
 )
 
 
@@ -111,6 +112,7 @@ def test_incidence_and_walks_match_name_oracles():
         assert acyclic == is_acyclic_by_names(q)
         comps = q.undirected_components()
         assert comps == undirected_components_by_names(q)
+        assert underlying_shape(q) == underlying_shape_by_names(q)
         seen["loop"] += any(s == t for s, t in ends)
         seen["parallel"] += len(set(ends)) < len(ends)
         seen["isolated"] += any(not (q.arrows_out[v] or q.arrows_in[v]) for v in range(len(vs)))

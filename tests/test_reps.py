@@ -17,6 +17,7 @@ from nodalq import (
     Morphism,
     NodalDatum,
     NonNilpotentCycle,
+    Presentation,
     Quiver,
     Representation,
     SearchSpaceTooLarge,
@@ -89,6 +90,7 @@ from util import (
     strip_simple_summands_vertex_by_vertex,
     top_rank_by_residues,
     unpruned_candidates,
+    worked_example_datum,
 )
 
 F2 = GF(2)
@@ -147,6 +149,33 @@ def test_check_relations_reports():
         make_representation(pres, F2, {"(v0 v1)": 1}, {"va0": [[1]]})
     )
     assert not bad and "does not vanish" in problems[0]
+
+
+def test_relation_words_are_built_once_per_presentation(monkeypatch):
+    # the position words live on the presentation: zero words in
+    # zero_words order, then the commutation pairs, so check_relations
+    # reports in that order however often it runs
+    pres, _ = build_presentation(worked_example_datum())
+    q = pres.quiver
+    ones = make_representation(
+        pres, F2, dict.fromkeys(q.vertices, 1), {a.name: [[1]] for a in q.arrows})
+    zero_words = Presentation.zero_words
+    calls = []
+    monkeypatch.setattr(Presentation, "zero_words", lambda p: calls.append(p) or zero_words(p))
+    reports = {check_relations(ones) for _ in range(5)}
+    assert len(calls) == 1
+    monkeypatch.undo()
+    words = pres.zero_words()
+    pairs = pres.commutation_pairs()
+    assert words and pairs
+    assert reports == {(False, tuple(f"word {'·'.join(w)} does not vanish" for w in words))}
+
+    def positions(word):
+        return tuple(q.arrow_index[a] for a in word)
+
+    assert pres._relation_words == tuple(
+        [(positions(w), None) for w in words]
+        + [(positions(lhs), positions(rhs)) for lhs, rhs in pairs])
 
 
 def test_path_matrix_orders_factors():

@@ -44,7 +44,11 @@ pull-back that places every arrow by which glued copy it touches.
 The incidence oracles are the quiver walks and push-forwards before they
 read the arrow positions of ``Quiver.arrows_out`` and ``arrows_in``:
 scans of the arrows for a vertex name, graph walks over name-keyed dicts,
-and gluings and blow-ups that look every arrow up by name.
+gluings and blow-ups that look every arrow up by name, and an
+``underlying_shape`` that finds each component's edges by a scan.
+The classifier oracles are the rules before each public call prepared its
+datum once: every rule validates and strips again, and ``classify``
+re-prepares each component through the public rules.
 """
 
 from __future__ import annotations
@@ -72,8 +76,31 @@ from nodalq import (
     blow_presentation,
     glue_presentation,
 )
+from nodalq.classify import (
+    _SEVERITY,
+    NON_WILD_UNRESOLVED,
+    TAME,
+    WILD,
+    Detection,
+    ExceptionalParams,
+    RepType,
+    _line_walk,
+    _stripped,
+    _try_configuration,
+    exceptional_type,
+    gabriel_type,
+    is_inessential,
+)
+from nodalq.construct import build_presentation
 from nodalq.linalg import SUPPORTED_PRIMES, all_matrices
-from nodalq.quiver import UnknownVertex
+from nodalq.quiver import (
+    ALINE,
+    ShapeReport,
+    UnknownVertex,
+    _component_shape,
+    _induced_quiver,
+    underlying_shape,
+)
 from nodalq.reps import (
     ShapeMismatch,
     _columns_matrix,
@@ -1054,6 +1081,18 @@ def blow_induce_by_names(m: Representation, v: str) -> Representation:
     return Representation(blown, m.field, tuple(dims), mats)
 
 
+def underlying_shape_by_names(q: Quiver) -> ShapeReport:
+    """``underlying_shape`` finding each component's edges by a scan of
+    every arrow for a source in the component."""
+    comps = q.undirected_components()
+    shapes = []
+    for comp in comps:
+        cset = set(comp)
+        edges = [(a.source, a.target) for a in q.arrows if a.source in cset]
+        shapes.append(_component_shape(comp, edges))
+    return ShapeReport(tuple(shapes), q.is_acyclic())
+
+
 # ---------------------------------------------------------------------------
 # unpruned closure oracle
 
@@ -1610,3 +1649,196 @@ class DispatchMatrix:
             raise ValueError("matrix is singular")
         rows = tuple(r[self.nrows:] for r in R.rows)
         return DispatchMatrix(self.field, self.nrows, self.nrows, rows)
+
+
+# ---------------------------------------------------------------------------
+# classifier oracle: the rules before each public call prepared its datum
+# once; every rule validates and strips again, classify re-prepares each
+# component through the public rules, and the doubly-glued rule detects
+# its single gluing through detect_exceptional
+
+def is_quasi_gentle_by_restripping(d: NodalDatum) -> bool:
+    """True when, after stripping, every operated vertex has at most one
+    in-arrow and at most one out-arrow in the base quiver."""
+    s = _stripped(d)
+    operated = [v for pair in s.glue_pairs for v in pair]
+    operated.extend(s.blow_vertices)
+    base = d.base
+    return all(
+        len(base.in_arrows(v)) <= 1 and len(base.out_arrows(v)) <= 1 for v in operated
+    )
+
+
+def detect_exceptional_by_restripping(d: NodalDatum) -> Detection:
+    """Recognize the single-essential-gluing cycle-with-two-tails shape.
+
+    Succeeds only when, after stripping, the datum has exactly one glue
+    pair, no blow-ups, and the pair sits on one line-shaped base
+    component oriented so that the merged vertex carries an n-arrow
+    cycle plus two mandatory pendant arrows with free tails.
+    """
+    s = _stripped(d)
+    if len(s.glue_pairs) != 1:
+        return Detection(
+            None, (f"need exactly one essential gluing, found {len(s.glue_pairs)}",)
+        )
+    if s.blow_vertices:
+        return Detection(None, ("blow-ups present alongside the gluing",))
+    i, j = s.glue_pairs[0]
+    comp = next(c for c in d.base.undirected_components() if i in c)
+    if j not in comp:
+        return Detection(
+            None,
+            ("glued vertices lie in different base components, so no cycle forms",),
+        )
+    shape = next(
+        sh for sh in underlying_shape(d.base).components if sh.vertices == comp
+    )
+    if shape.label != ALINE:
+        return Detection(
+            None,
+            (
+                "the glued pair lies on a cycle-shaped base component; such"
+                " configurations are outside the classified tables and are"
+                " treated as not matching",
+            ),
+        )
+    order, edges = _line_walk(d.base, comp)
+    pos = {v: k for k, v in enumerate(order)}
+    for iv, jv in ((i, j), (j, i)):
+        for case in ("one", "two"):
+            params = _try_configuration(order, edges, pos[iv], pos[jv], case)
+            if params is not None:
+                return Detection(params)
+    return Detection(
+        None, ("arrow orientations around the glued pair match neither configuration",)
+    )
+
+
+def detect_super_exceptional_by_restripping(d: NodalDatum) -> Detection:
+    """Recognize the n = 3 cycle shape with its middle arrow's endpoints
+    glued by a second essential gluing."""
+    s = _stripped(d)
+    if len(s.glue_pairs) != 2:
+        return Detection(
+            None, (f"need exactly two essential gluings, found {len(s.glue_pairs)}",)
+        )
+    if s.blow_vertices:
+        return Detection(None, ("blow-ups present alongside the gluings",))
+    notes = []
+    for k in (0, 1):
+        exc_pair, other = s.glue_pairs[k], s.glue_pairs[1 - k]
+        det = detect_exceptional_by_restripping(NodalDatum(d.base, (exc_pair,), ()))
+        if not det:
+            continue
+        if det.params.n != 3:
+            notes.append(
+                f"gluing ({exc_pair[0]}, {exc_pair[1]}) matches with n={det.params.n},"
+                " but the doubly-glued shape needs n=3"
+            )
+            continue
+        i, j = exc_pair
+        comp = next(c for c in d.base.undirected_components() if i in c)
+        order, _ = _line_walk(d.base, comp)
+        pos = {v: t for t, v in enumerate(order)}
+        lo = min(pos[i], pos[j])
+        middle_ends = {order[lo + 1], order[lo + 2]}
+        if set(other) != middle_ends:
+            notes.append(
+                f"second gluing ({other[0]}, {other[1]}) does not join the"
+                " endpoints of the middle cycle arrow"
+            )
+            continue
+        if is_inessential(d, other):
+            notes.append("the middle-arrow gluing is inessential")
+            continue
+        p = det.params
+        return Detection(ExceptionalParams(3, p.m, p.l, p.case, is_super=True))
+    return Detection(None, tuple(notes))
+
+
+def _relation_component(pres: Presentation, r, comp_of: dict[str, int]) -> int:
+    word = r.path.arrows if isinstance(r, MonomialZero) else r.lhs.arrows
+    return comp_of[pres.quiver.arrow(word[0]).target]
+
+
+def classify_by_restripping(d: NodalDatum) -> RepType:
+    """Decide the representation type of the algebra presented by a datum.
+
+    Pipeline: validate, require a line/cycle base, strip inessential
+    gluings, then classify each connected component of the glued quiver
+    and combine by worst verdict (Finite < Tame < NonWildUnresolved <
+    Wild).  The trace records each decision in order.
+    """
+    s = _stripped(d)
+    trace = []
+    for pair in d.glue_pairs:
+        if pair not in s.glue_pairs:
+            trace.append(
+                f"stripped inessential gluing ({pair[0]}, {pair[1]});"
+                " it cannot change the representation type"
+            )
+    pres, gmap = build_presentation(s)
+    if not pres.relations:
+        g = gabriel_type(pres.quiver)
+        trace.append("no relations remain; the algebra is hereditary")
+        trace.extend(g.trace)
+        return RepType(g.verdict, tuple(trace))
+
+    glued_comps = pres.quiver.undirected_components()
+    comp_of = {v: k for k, c in enumerate(glued_comps) for v in c}
+    rel_comp_counts = {k: 0 for k in range(len(glued_comps))}
+    for r in pres.relations:
+        rel_comp_counts[_relation_component(pres, r, comp_of)] += 1
+
+    verdicts = []
+    for k, comp in enumerate(glued_comps):
+        label = f"component of {comp[0]!r}"
+        if rel_comp_counts[k] == 0:
+            g = gabriel_type(_induced_quiver(pres.quiver, comp))
+            verdicts.append(g.verdict)
+            trace.append(f"{label}: relation-free")
+            trace.extend(g.trace)
+            continue
+        base_vs = {v for v in d.base.vertices if comp_of[gmap.vertex_map[v][0]] == k}
+        sub = NodalDatum(
+            _induced_quiver(d.base, base_vs),
+            tuple(p for p in s.glue_pairs if p[0] in base_vs),
+            tuple(v for v in s.blow_vertices if v in base_vs),
+        )
+        if is_quasi_gentle_by_restripping(sub):
+            verdicts.append(NON_WILD_UNRESOLVED)
+            trace.append(
+                f"{label}: every operated vertex keeps at most one in- and one"
+                " out-arrow, so the algebra piece is quasi-gentle: not wild;"
+                " the finite-vs-tame split is left unresolved"
+            )
+            continue
+        det = detect_exceptional_by_restripping(sub)
+        if det:
+            t = exceptional_type(det.params)
+            verdicts.append(t.verdict)
+            trace.append(f"{label}: single-gluing cycle shape recognized")
+            trace.extend(t.trace)
+            continue
+        det2 = detect_super_exceptional_by_restripping(sub)
+        if det2:
+            t = exceptional_type(det2.params)
+            verdicts.append(t.verdict)
+            trace.append(f"{label}: doubly-glued cycle shape recognized")
+            trace.extend(t.trace)
+            continue
+        verdicts.append(WILD)
+        trace.append(f"{label}: no non-wild configuration matches: Wild")
+        for note in det.notes + det2.notes:
+            trace.append(f"{label}: {note}")
+
+    combined = max(verdicts, key=lambda v: _SEVERITY[v])
+    if combined == NON_WILD_UNRESOLVED and TAME in verdicts:
+        trace.append(
+            "a tame component combines with an unresolved one; the join cannot"
+            " be certified tame and stays unresolved"
+        )
+    if len(verdicts) > 1:
+        trace.append(f"combined verdict over {len(verdicts)} components: {combined}")
+    return RepType(combined, tuple(trace))
