@@ -16,9 +16,10 @@ Verdicts combine across components by worst case; an unresolved
 component absorbs tame ones because the join cannot be certified tame.
 
 Each public entry prepares its datum once: it validates it, requires a
-line/cycle base and strips the inessential gluings.  The private rules
-read a prepared datum and never prepare again; a component of one is
-prepared as it stands.
+line/cycle base and strips the inessential gluings, keeping the shapes
+of the base.  The private rules read a prepared datum and those shapes
+and never prepare again; the operations on a component of one, over
+the same base, are prepared as they stand.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .quiver import (
     MonomialZero,
     Presentation,
     Quiver,
+    ShapeReport,
     _induced_quiver,
     underlying_shape,
 )
@@ -131,33 +133,36 @@ def strip_inessential(d: NodalDatum) -> NodalDatum:
     return NodalDatum(d.base, kept, d.blow_vertices)
 
 
-def _type_a_guard(q: Quiver) -> None:
+def _type_a_guard(q: Quiver) -> ShapeReport:
+    """The shapes of ``q``, which must all be lines or cycles."""
     shapes = underlying_shape(q)
     bad = [s for s in shapes.components if s.label not in (ALINE, ACYCLE)]
     if bad:
         msgs = ", ".join(f"component of {s.vertices[0]!r} is {s.label}" for s in bad)
         raise NotTypeA(f"base must have only line or cycle components: {msgs}")
+    return shapes
 
 
-def _stripped(d: NodalDatum) -> NodalDatum:
+def _stripped(d: NodalDatum) -> tuple[NodalDatum, ShapeReport]:
     """Validate a datum, require a line/cycle base and strip its
-    inessential gluings."""
+    inessential gluings; with the shapes of its base."""
     report = validate(d)
     if not report.ok:
         raise InvalidDatum("; ".join(report.problems))
-    _type_a_guard(d.base)
-    return strip_inessential(d)
+    shapes = _type_a_guard(d.base)
+    return strip_inessential(d), shapes
 
 
 def gabriel_type(q: Quiver) -> RepType:
     """Representation type of the hereditary algebra of an acyclic quiver."""
-    if not q.is_acyclic():
+    shapes = underlying_shape(q)
+    if not shapes.acyclic:
         raise CyclicQuiver("hereditary classification needs an acyclic quiver")
     finite_labels = (ALINE, DYNKIN_D, DYNKIN_E)
     tame_labels = (ACYCLE, EUCLIDEAN_D, EUCLIDEAN_E)
     trace = []
     worst = FINITE
-    for s in underlying_shape(q).components:
+    for s in shapes.components:
         if s.label in finite_labels:
             v = FINITE
         elif s.label in tame_labels:
@@ -225,7 +230,7 @@ def is_gentle_presentation(p: Presentation) -> GentleReport:
 def is_quasi_gentle(d: NodalDatum) -> bool:
     """True when, after stripping, every operated vertex has at most one
     in-arrow and at most one out-arrow in the base quiver."""
-    return _is_quasi_gentle(_stripped(d))
+    return _is_quasi_gentle(_stripped(d)[0])
 
 
 def _is_quasi_gentle(s: NodalDatum) -> bool:
@@ -299,12 +304,12 @@ def _try_configuration(order, edges, pi: int, pj: int, case: str):
     return ExceptionalParams(n, m, l, case)
 
 
-def _match(q: Quiver, pair) -> tuple[Detection, list[str]]:
-    """The single-gluing detection of an essential pair of ``q``, and the
-    walked vertex order of its line component (empty when none was
-    walked)."""
+def _match(q: Quiver, shapes: ShapeReport, pair) -> tuple[Detection, list[str]]:
+    """The single-gluing detection of an essential pair of ``q``, whose
+    shapes are ``shapes``, and the walked vertex order of its line
+    component (empty when none was walked)."""
     i, j = pair
-    shape = next(sh for sh in underlying_shape(q).components if i in sh.vertices)
+    shape = next(sh for sh in shapes.components if i in sh.vertices)
     if j not in shape.vertices:
         note = "glued vertices lie in different base components, so no cycle forms"
         return Detection(None, (note,)), []
@@ -334,26 +339,26 @@ def detect_exceptional(d: NodalDatum) -> Detection:
     component oriented so that the merged vertex carries an n-arrow
     cycle plus two mandatory pendant arrows with free tails.
     """
-    return _detect_exceptional(_stripped(d))
+    return _detect_exceptional(*_stripped(d))
 
 
-def _detect_exceptional(s: NodalDatum) -> Detection:
+def _detect_exceptional(s: NodalDatum, shapes: ShapeReport) -> Detection:
     if len(s.glue_pairs) != 1:
         return Detection(
             None, (f"need exactly one essential gluing, found {len(s.glue_pairs)}",)
         )
     if s.blow_vertices:
         return Detection(None, ("blow-ups present alongside the gluing",))
-    return _match(s.base, s.glue_pairs[0])[0]
+    return _match(s.base, shapes, s.glue_pairs[0])[0]
 
 
 def detect_super_exceptional(d: NodalDatum) -> Detection:
     """Recognize the n = 3 cycle shape with its middle arrow's endpoints
     glued by a second essential gluing."""
-    return _detect_super_exceptional(_stripped(d))
+    return _detect_super_exceptional(*_stripped(d))
 
 
-def _detect_super_exceptional(s: NodalDatum) -> Detection:
+def _detect_super_exceptional(s: NodalDatum, shapes: ShapeReport) -> Detection:
     if len(s.glue_pairs) != 2:
         return Detection(
             None, (f"need exactly two essential gluings, found {len(s.glue_pairs)}",)
@@ -362,7 +367,7 @@ def _detect_super_exceptional(s: NodalDatum) -> Detection:
         return Detection(None, ("blow-ups present alongside the gluings",))
     notes = []
     for exc_pair, other in (s.glue_pairs, s.glue_pairs[::-1]):
-        det, order = _match(s.base, exc_pair)
+        det, order = _match(s.base, shapes, exc_pair)
         if not det:
             continue
         p = det.params
@@ -430,7 +435,7 @@ def classify(d: NodalDatum) -> RepType:
     and combine by worst verdict (Finite < Tame < NonWildUnresolved <
     Wild).  The trace records each decision in order.
     """
-    s = _stripped(d)
+    s, shapes = _stripped(d)
     trace = []
     for pair in d.glue_pairs:
         if pair not in s.glue_pairs:
@@ -461,10 +466,11 @@ def classify(d: NodalDatum) -> RepType:
             trace.append(f"{label}: relation-free")
             trace.extend(g.trace)
             continue
-        # whole base components of a prepared datum: prepared as it stands
+        # the operations on whole base components of a prepared datum,
+        # over its whole base: prepared as it stands
         base_vs = {v for v in d.base.vertices if comp_of[gmap.vertex_map[v][0]] == k}
         sub = NodalDatum(
-            _induced_quiver(d.base, base_vs),
+            s.base,
             tuple(p for p in s.glue_pairs if p[0] in base_vs),
             tuple(v for v in s.blow_vertices if v in base_vs),
         )
@@ -481,7 +487,7 @@ def classify(d: NodalDatum) -> RepType:
             (_detect_exceptional, "single-gluing"),
             (_detect_super_exceptional, "doubly-glued"),
         ):
-            det = rule(sub)
+            det = rule(sub, shapes)
             if det:
                 t = exceptional_type(det.params)
                 verdicts.append(t.verdict)

@@ -277,8 +277,8 @@ def build_presentation(d: NodalDatum):
 # ---------------------------------------------------------------------------
 # dimension of the presented algebra
 #
-# Words here are tuples of arrow indices (positions in ``quiver.arrows``)
-# in application order, the reverse of the written order.
+# Words here are those of ``Presentation._relation_words``: arrow positions
+# in written order, the arrow applied last first.  Paths are read alike.
 
 def _avoiding(words):
     """The step function of the automaton that reads paths avoiding ``words``.
@@ -301,30 +301,21 @@ def _avoiding(words):
     return step
 
 
-def _arrow_graph(pres: Presentation):
-    """Per vertex, the indices of its outgoing arrows; per arrow, the index
-    of its head; and the map from a written word to its arrow indices."""
-    q = pres.quiver
-
-    def word(written):
-        return tuple(q.arrow_index[n] for n in reversed(written))
-
-    return q.arrows_out, [ti for _, ti in q.arrow_ends], word
-
-
-def _live_graph(out, head, step, refusal: str):
-    """The (vertex, state) pairs that the paths read by ``step`` reach,
-    successors before predecessors, and each pair's successors.  Raises
-    NonNilpotentCycle, saying ``refusal``, if they form a cycle."""
+def _live_graph(q: Quiver, step, refusal: str):
+    """The (vertex, state) pairs reached by the paths that ``step`` reads
+    back from the vertex where they end; successors before predecessors,
+    and each pair's successors.  Raises NonNilpotentCycle, saying
+    ``refusal``, if they form a cycle."""
+    into, ends = q.arrows_in, q.arrow_ends
     succ = {}
     order = []
 
     def visit(node):
         v, s = node
-        succ[node] = [(head[a], t) for a in out[v] if (t := step(s, a)) is not None]
+        succ[node] = [(ends[a][0], t) for a in into[v] if (t := step(s, a)) is not None]
         return iter(succ[node])
 
-    for start in ((v, ()) for v in range(len(out))):
+    for start in ((v, ()) for v in range(len(into))):
         if start in succ:
             continue
         on_path = {start}
@@ -342,6 +333,13 @@ def _live_graph(out, head, step, refusal: str):
                 on_path.add(nxt)
                 stack.append((nxt, visit(nxt)))
     return order, succ
+
+
+def _zero_free(pres: Presentation, refusal: str):
+    """The zero words of ``pres`` and the live graph of the paths that
+    contain none of them; see ``_live_graph``."""
+    zeros = [lhs for lhs, rhs in pres._relation_words if rhs is None]
+    return zeros, *_live_graph(pres.quiver, _avoiding(zeros), refusal)
 
 
 def _contains(w: tuple, u: tuple) -> bool:
@@ -416,19 +414,17 @@ def dimension(pres: Presentation, max_path_length: int = 64) -> int:
     if max_path_length < 0:
         raise ValueError(f"max_path_length must be nonnegative, got {max_path_length}")
     refusal = f"a relation-free path exceeded the length cap {max_path_length}"
-    out, head, word = _arrow_graph(pres)
-    zeros = [word(w) for w in pres.zero_words()]
-    order, succ = _live_graph(out, head, _avoiding(zeros), refusal)
+    zeros, order, succ = _zero_free(pres, refusal)
     longest = {}
     for node in order:
         longest[node] = max((longest[m] + 1 for m in succ[node]), default=0)
     if max(longest.values(), default=0) > max_path_length:
         raise NonNilpotentCycle(refusal)
-    commutations = [(word(l), word(r)) for l, r in pres.commutation_pairs()]
+    commutations = [(l, r) for l, r in pres._relation_words if r is not None]
     if commutations:
         rules = _complete(zeros, commutations)
-        order, succ = _live_graph(out, head, _avoiding(rules), refusal)
+        order, succ = _live_graph(pres.quiver, _avoiding(rules), refusal)
     count = {}
     for node in order:
         count[node] = 1 + sum(count[m] for m in succ[node])
-    return sum(count[(v, ())] for v in range(len(out)))
+    return sum(count[(v, ())] for v in range(len(pres.quiver.vertices)))

@@ -24,38 +24,34 @@ from .construct import GluedVertexMap, NodalDatum
 from .quiver import Arrow, Commutation, MonomialZero, Path, Presentation, Quiver
 
 
+def _located(self, message: str, line: int, col: int) -> None:
+    """The ``__init__`` of both datum errors: the message, prefixed by
+    where it arose, and that place as ``line`` and ``col``."""
+    ValueError.__init__(self, f"line {line}, column {col}: {message}")
+    self.line = line
+    self.col = col
+
+
 class DatumSyntaxError(ValueError):
-    def __init__(self, message: str, line: int, col: int) -> None:
-        super().__init__(f"line {line}, column {col}: {message}")
-        self.line = line
-        self.col = col
+    __init__ = _located
 
 
 class DatumSemanticError(ValueError):
-    def __init__(self, message: str, line: int, col: int) -> None:
-        super().__init__(f"line {line}, column {col}: {message}")
-        self.line = line
-        self.col = col
+    __init__ = _located
 
 
-_TOKEN = re.compile(r"->|:|[A-Za-z0-9_()]+")
+# a token, or in the group a character that starts none; whitespace
+# (``\s``: the characters ``str.isspace`` accepts) matches nothing
+_TOKEN = re.compile(r"->|:|[A-Za-z0-9_()]+|(\S)")
 _ID = re.compile(r"[A-Za-z0-9_()]+\Z")
 
 
 def _tokenize(text: str, lineno: int):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise DatumSyntaxError(
-                f"unexpected character {text[pos]!r}", lineno, pos + 1
-            )
-        tokens.append((m.group(), pos + 1))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m.group(1) is not None:
+            raise DatumSyntaxError(f"unexpected character {m.group(1)!r}", lineno, m.start() + 1)
+        tokens.append((m.group(), m.start() + 1))
     return tokens
 
 

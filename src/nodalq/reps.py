@@ -67,14 +67,7 @@ from functools import cached_property, lru_cache
 from operator import gt, mul
 from typing import NamedTuple
 
-from .construct import (
-    _arrow_graph,
-    _avoiding,
-    _inessential_order,
-    _live_graph,
-    blow_presentation,
-    glue_presentation,
-)
+from .construct import _inessential_order, _zero_free, blow_presentation, glue_presentation
 from .linalg import Matrix, all_matrices, block_diag, rank_forms, similarity_forms
 from .quiver import NonComposable, Presentation
 
@@ -238,11 +231,9 @@ def check_relations(m: Representation):
 
     problems = []
     for lhs, rhs in m.pres._relation_words:
-        if rhs is None:
-            if not _word_product(m.mats, lhs).is_zero():
-                problems.append(f"word {written(lhs)} does not vanish")
-        elif _word_product(m.mats, lhs) != _word_product(m.mats, rhs):
-            problems.append(f"words {written(lhs)} and {written(rhs)} differ")
+        if not _holds(m.mats, lhs, rhs):
+            problems.append(f"word {written(lhs)} does not vanish" if rhs is None
+                            else f"words {written(lhs)} and {written(rhs)} differ")
     return (not problems, tuple(problems))
 
 
@@ -981,6 +972,8 @@ class EnumerationResult:
 def _compositions(total, parts):
     """Dimension vectors of a total in lexicographic order; the bars of a
     stars-and-bars picture come out of ``combinations`` in that order."""
+    if not parts:  # no vertex: no dimension vector has a positive total
+        return
     slots = total + parts - 1
     for bars in itertools.combinations(range(slots), parts - 1):
         edges = (-1,) + bars + (slots,)
@@ -1019,6 +1012,14 @@ def _word_product(mats, word):
     return out
 
 
+def _holds(mats, lhs, rhs) -> bool:
+    """Whether the relation ``lhs = rhs`` holds on the arrow matrices
+    ``mats``, ``rhs`` None for a zero relation."""
+    if rhs is None:
+        return _word_product(mats, lhs).is_zero()
+    return _word_product(mats, lhs) == _word_product(mats, rhs)
+
+
 def _orbit_tuples(field, shapes, ends, relations):
     """Matrix tuples, in arrow order, meeting every orbit of the base
     change group prod GL(d_v) and satisfying the relations.
@@ -1053,11 +1054,7 @@ def _orbit_tuples(field, shapes, ends, relations):
         level = len(stack) - 1
         for mat in stack[-1]:
             mats[order[level]] = mat
-            if all(
-                _word_product(mats, lhs).is_zero() if rhs is None
-                else _word_product(mats, lhs) == _word_product(mats, rhs)
-                for lhs, rhs in checks[level]
-            ):
+            if all(_holds(mats, lhs, rhs) for lhs, rhs in checks[level]):
                 break
         else:
             stack.pop()
@@ -1212,10 +1209,8 @@ def _closure_catalog(pres, field, max_total, budget):
     ``enumerate_indecomposables`` for the pruning rule."""
     if field.size is None:
         raise SearchSpaceTooLarge("extension enumeration needs a finite field")
-    out, head, word = _arrow_graph(pres)
-    _live_graph(out, head, _avoiding(word(w) for w in pres.zero_words()),
-                "closure extends by simple submodules only, so it misses the modules on"
-                " which a cycle of arrows acts non-nilpotently; use method='scan'")
+    _zero_free(pres, "closure extends by simple submodules only, so it misses the modules on"
+               " which a cycle of arrows acts non-nilpotently; use method='scan'")
     q = pres.quiver
     catalog = [simple_representation(pres, field, v) for v in q.vertices] if max_total else []
     examined = tested = len(catalog)

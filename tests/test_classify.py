@@ -30,6 +30,7 @@ from nodalq import (
     parse_datum,
     strip_inessential,
     tits_witness,
+    validate,
 )
 from nodalq.classify import UnknownPair
 
@@ -410,3 +411,28 @@ def test_each_public_call_prepares_its_datum_once(monkeypatch):
             _outcome(rule, d)
             assert calls == [d], (rule.__name__, d)
 
+
+def test_each_public_call_shapes_its_base_once(monkeypatch):
+    # the type-A guard's shapes serve every rule; only gabriel_type shapes
+    # a quiver again, its own, and reads acyclicity off that report
+    module = importlib.import_module("nodalq.classify")
+    shape, hereditary_type, acyclic = module.underlying_shape, module.gabriel_type, Quiver.is_acyclic
+    calls = []
+    monkeypatch.setattr(module, "underlying_shape",
+                        lambda q: calls.append("shape") or shape(q))
+    monkeypatch.setattr(module, "gabriel_type",
+                        lambda q: calls.append("gabriel") or hereditary_type(q))
+    monkeypatch.setattr(Quiver, "is_acyclic", lambda q: calls.append("acyclic") or acyclic(q))
+    for d in _classifier_data()[::3]:
+        for rule, _ in RULES:
+            calls.clear()
+            _outcome(rule, d)
+            want = validate(d).ok + calls.count("gabriel")
+            assert calls.count("shape") == want, (rule.__name__, d)
+    for q in (line_quiver(3), Quiver(("x",), (Arrow("l", "x", "x"),))):
+        calls.clear()
+        try:
+            gabriel_type(q)
+        except CyclicQuiver:
+            pass
+        assert calls == ["shape", "acyclic"], q

@@ -325,6 +325,21 @@ def test_one_parser_serves_every_call(capsys):
     assert shared[2][1] == "24\n"
 
 
+def test_enumerate_methods_agree_on_an_empty_datum(tmp_path, capsys):
+    # a datum with no vertex passes check; both methods list no class
+    empty = tmp_path / "empty.datum"
+    empty.write_text("", encoding="utf-8")
+    assert run(capsys, "check", str(empty)) == (0, "ok\n", "")
+    for bound in range(4):
+        for budget in ([], ["--budget", "0"]):
+            want = (0, "vertices: \ntotal: 0 classes up to total dimension"
+                       f" {bound} over GF(2) (method {{}}, 0 candidates)\n", "")
+            for method in ("scan", "closure"):
+                got = run(capsys, "enumerate", str(empty), "--field", "2",
+                          "--max-dim", str(bound), "--method", method, *budget)
+                assert got == (want[0], want[1].format(method), want[2]), (bound, method)
+
+
 def test_syntax_error_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.datum"
     bad.write_text("vertices a\nglue a\n", encoding="utf-8")

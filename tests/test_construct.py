@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import pathlib
 
 import pytest
 
@@ -29,14 +30,19 @@ from util import (
     count_paths,
     count_paths_from,
     count_paths_into,
+    dimension_by_application_order,
     dimension_by_paths,
     line_quiver,
     random_blow_datum,
     random_glue_datum,
+    random_line_glue_datum,
     random_presentation,
+    random_quasi_gentle_datum,
     seeded,
     worked_example_datum,
 )
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 # Frozen golden values.  The relation strings were derived by hand from
 # the construction recipe (cross zero relations at each merged vertex,
@@ -224,6 +230,34 @@ def test_dimension_matches_path_listing_oracle():
         for cap in (0, 1, 2, 3, 64):
             want = _outcome(dimension_by_paths, pres, cap)
             assert _outcome(dimension, pres, cap) == want, (cap, pres)
+
+
+def _raised(dim, pres, cap):
+    """What ``dim`` answers on ``pres`` under ``cap``, or the type and
+    message it raises."""
+    try:
+        return dim(pres, cap)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_dimension_in_written_order_matches_application_order_oracle():
+    # reading words and paths from their end counts the same normal words,
+    # and refuses the same presentations with the same message
+    rng = seeded(20261023)
+    corpus = [parse_datum(p.read_text(encoding="utf-8")) for p in sorted(DATA.glob("*.datum"))]
+    cases = [build_presentation(d)[0] for d in corpus if validate(d).ok]
+    cases += [random_presentation(rng) for _ in range(1000)]
+    for gen in (random_glue_datum, random_blow_datum, random_line_glue_datum,
+                random_quasi_gentle_datum):
+        cases += [build_presentation(gen(rng))[0] for _ in range(100)]
+    refused = 0
+    for pres in cases:
+        for cap in (64, 3, 1):
+            want = _raised(dimension_by_application_order, pres, cap)
+            assert _raised(dimension, pres, cap) == want, (cap, pres)
+            refused += isinstance(want, tuple)
+    assert 500 <= refused <= 3 * len(cases) - 500, refused
 
 
 def test_dimension_of_a_long_diamond_chain():

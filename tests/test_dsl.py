@@ -20,7 +20,8 @@ from nodalq import (
     serialize_datum,
 )
 
-from util import worked_example_datum
+from nodalq.dsl import _tokenize
+from util import seeded, tokenize_by_characters, worked_example_datum
 
 SAMPLE = """\
 # a comment line
@@ -57,6 +58,40 @@ def test_parse_errors_carry_positions():
         parse_datum("vertices a a\n")
     with pytest.raises(DatumSemanticError):
         parse_datum("vertices a b\narrow f : a -> b\narrow f : a -> b\n")
+
+
+def _tokens(tokenize, text):
+    """The tokens of ``text``, or the type, message and position of the
+    error that ``tokenize`` raises on it."""
+    try:
+        return tokenize(text, 7)
+    except Exception as e:
+        return type(e), str(e), e.line, e.col
+
+
+def test_tokenizer_matches_character_loop_oracle():
+    # the regex pass skips exactly the characters that str.isspace skips,
+    # Unicode spaces included, and names the same unexpected character
+    space = re.compile(r"\s")
+    assert all(bool(space.match(c)) == c.isspace() for c in map(chr, range(0x110000)))
+    pieces = ["a", "Z9", "_", "(", ")", "v1", "->", ":", "-", ">", " ", "  ", "\t", "\x0b",
+              "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u3000", "\u200b", "@", "'",
+              "#", "\xe9", "\u0663", "\u2212", "\U0001f600"]
+    rng = seeded(20261025)
+    seen = {"tokens": 0, "error": 0}
+    for _ in range(3000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        want = _tokens(tokenize_by_characters, text)
+        assert _tokens(_tokenize, text) == want, repr(text)
+        seen["error" if isinstance(want, tuple) else "tokens"] += 1
+    assert min(seen.values()) >= 500, seen
+
+
+def test_datum_errors_share_their_form():
+    for error in (DatumSyntaxError, DatumSemanticError):
+        e = error("unknown vertex 'x'", 3, 5)
+        assert isinstance(e, ValueError) and error.__bases__ == (ValueError,)
+        assert (str(e), e.line, e.col) == ("line 3, column 5: unknown vertex 'x'", 3, 5)
 
 
 def test_round_trip_is_canonical():

@@ -203,3 +203,24 @@ def test_classifier_prepares_a_datum_once():
     # the public entry points validate and strip; classify and the private
     # rules read the prepared datum
     assert repeated_preparations(SRC / "classify.py") == []
+
+
+def relation_word_resolutions(path: Path, attributes=()) -> list[str]:
+    """Places in ``path`` that resolve relation words from names again:
+    calls of ``zero_words()`` or ``commutation_pairs()``, and reads of
+    any attribute in ``attributes``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    return [f"{path.name}:{n.lineno}: {n.attr}" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and (
+                n.attr in ("zero_words", "commutation_pairs") and id(n) in called
+                or n.attr in attributes)]
+
+
+def test_relation_words_are_resolved_once():
+    # Presentation._relation_words turns relation words into arrow
+    # positions once; construct and reps read those, and construct looks
+    # up no arrow position by name
+    found = relation_word_resolutions(SRC / "construct.py", ("arrow_index",))
+    found += relation_word_resolutions(SRC / "reps.py")
+    assert found == []

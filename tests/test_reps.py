@@ -66,6 +66,7 @@ from nodalq.reps import (
 from util import (
     _support_connected,
     blow_induce_by_names,
+    check_closure_by_application_order,
     closure_catalog,
     decompose_by_peeling,
     decompose_by_top_rank,
@@ -82,6 +83,9 @@ from util import (
     line_quiver,
     random_blow_datum,
     random_glue_datum,
+    random_line_glue_datum,
+    random_presentation,
+    random_quasi_gentle_datum,
     scan_catalog,
     seeded,
     simple_summand_multiplicity_by_kernels,
@@ -1167,6 +1171,42 @@ def test_closure_refuses_a_cycle_that_need_not_act_nilpotently():
     with pytest.raises(NonNilpotentCycle, match="closure.*method='scan'"):
         enumerate_indecomposables(free_loop, F2, 2, method="closure")
     assert enumerate_indecomposables(free_loop, F2, 2, method="scan").count == 5
+
+
+def _refusal(check, *args):
+    """The type and message that ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+def test_closure_refuses_where_the_application_order_check_does():
+    # closure's cycle refusal is dimension's zero-free walk in written
+    # order; it refuses exactly the presentations that the walk in
+    # application order refused, with the same message
+    rng = seeded(20261024)
+    cases = [random_presentation(rng) for _ in range(600)]
+    for gen in (random_glue_datum, random_blow_datum, random_line_glue_datum,
+                random_quasi_gentle_datum):
+        cases += [build_presentation(gen(rng))[0] for _ in range(25)]
+    refused = 0
+    for pres in cases:
+        want = _refusal(check_closure_by_application_order, pres)
+        assert _refusal(enumerate_indecomposables, pres, F2, 1, 16, "closure") == want, pres
+        refused += want is not None
+    assert 100 <= refused <= len(cases) - 100, refused
+
+
+def test_scan_and_closure_agree_on_the_empty_presentation():
+    # no vertex: no class and no candidate at any bound, by either method
+    empty = hereditary(Quiver((), ()))
+    for bound in range(4):
+        for budget in (0, 16):
+            for method in ("scan", "closure"):
+                r = enumerate_indecomposables(empty, F2, bound, budget, method)
+                assert (r.classes, r.examined, r.tested) == ((), 0, 0), (bound, method)
 
 
 def test_closure_counts_tested_candidates():

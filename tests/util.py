@@ -48,13 +48,21 @@ gluings and blow-ups that look every arrow up by name, and an
 ``underlying_shape`` that finds each component's edges by a scan.
 The classifier oracles are the rules before each public call prepared its
 datum once: every rule validates and strips again, and ``classify``
-re-prepares each component through the public rules.
+re-prepares each component through the public rules.  They prepare with
+their own copy of the classifier's ``_stripped``.
+The application-order oracles are ``dimension`` and closure's cycle check
+before both read ``Presentation._relation_words``: they turn arrow names
+into positions themselves, reversed into application order, and walk
+every path forward from the vertex where it starts.
+The tokenizer oracle is the datum tokenizer before its single regex
+pass: it skips whitespace and matches a token character by character.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,17 +91,20 @@ from nodalq.classify import (
     WILD,
     Detection,
     ExceptionalParams,
+    NotTypeA,
     RepType,
     _line_walk,
-    _stripped,
     _try_configuration,
     exceptional_type,
     gabriel_type,
     is_inessential,
+    strip_inessential,
 )
-from nodalq.construct import build_presentation
+from nodalq.construct import InvalidDatum, _avoiding, _complete, build_presentation, validate
+from nodalq.dsl import DatumSyntaxError
 from nodalq.linalg import SUPPORTED_PRIMES, all_matrices
 from nodalq.quiver import (
+    ACYCLE,
     ALINE,
     ShapeReport,
     UnknownVertex,
@@ -1655,7 +1666,22 @@ class DispatchMatrix:
 # classifier oracle: the rules before each public call prepared its datum
 # once; every rule validates and strips again, classify re-prepares each
 # component through the public rules, and the doubly-glued rule detects
-# its single gluing through detect_exceptional
+# its single gluing through detect_exceptional; they prepare with their own
+# copy of the classifier's preparation
+
+def _stripped(d: NodalDatum) -> NodalDatum:
+    """Validate a datum, require a line/cycle base and strip its
+    inessential gluings."""
+    report = validate(d)
+    if not report.ok:
+        raise InvalidDatum("; ".join(report.problems))
+    shapes = underlying_shape(d.base)
+    bad = [s for s in shapes.components if s.label not in (ALINE, ACYCLE)]
+    if bad:
+        msgs = ", ".join(f"component of {s.vertices[0]!r} is {s.label}" for s in bad)
+        raise NotTypeA(f"base must have only line or cycle components: {msgs}")
+    return strip_inessential(d)
+
 
 def is_quasi_gentle_by_restripping(d: NodalDatum) -> bool:
     """True when, after stripping, every operated vertex has at most one
@@ -1842,3 +1868,119 @@ def classify_by_restripping(d: NodalDatum) -> RepType:
     if len(verdicts) > 1:
         trace.append(f"combined verdict over {len(verdicts)} components: {combined}")
     return RepType(combined, tuple(trace))
+
+
+# ---------------------------------------------------------------------------
+# application-order oracles: ``dimension`` and closure's cycle check before
+# they read ``Presentation._relation_words``, kept as they were apart from
+# their names; words are arrow positions in application order
+
+def _arrow_graph(pres: Presentation):
+    """Per vertex, the indices of its outgoing arrows; per arrow, the index
+    of its head; and the map from a written word to its arrow indices."""
+    q = pres.quiver
+
+    def word(written):
+        return tuple(q.arrow_index[n] for n in reversed(written))
+
+    return q.arrows_out, [ti for _, ti in q.arrow_ends], word
+
+
+def _live_graph(out, head, step, refusal: str):
+    """The (vertex, state) pairs that the paths read by ``step`` reach,
+    successors before predecessors, and each pair's successors.  Raises
+    NonNilpotentCycle, saying ``refusal``, if they form a cycle."""
+    succ = {}
+    order = []
+
+    def visit(node):
+        v, s = node
+        succ[node] = [(head[a], t) for a in out[v] if (t := step(s, a)) is not None]
+        return iter(succ[node])
+
+    for start in ((v, ()) for v in range(len(out))):
+        if start in succ:
+            continue
+        on_path = {start}
+        stack = [(start, visit(start))]
+        while stack:
+            node, it = stack[-1]
+            nxt = next(it, None)
+            if nxt is None:
+                stack.pop()
+                on_path.discard(node)
+                order.append(node)
+            elif nxt in on_path:
+                raise NonNilpotentCycle(refusal)
+            elif nxt not in succ:
+                on_path.add(nxt)
+                stack.append((nxt, visit(nxt)))
+    return order, succ
+
+
+def dimension_by_application_order(pres: Presentation, max_path_length: int = 64) -> int:
+    """Dimension of the presented algebra over any coefficient field.
+
+    The relations are monomials and binomials ``p = q``, so a complete
+    rewriting system for them (Knuth–Bendix completion under degree-lex
+    order) has only coefficients ±1, and the algebra has the paths that
+    contain no left side of a rule as a basis, trivial paths included.
+    They are counted by a dynamic program over (vertex, automaton state)
+    pairs, without listing any path.
+
+    Raises NonNilpotentCycle when some path containing no zero relation
+    is longer than ``max_path_length``, including when there are
+    infinitely many of them.
+    """
+    if max_path_length < 0:
+        raise ValueError(f"max_path_length must be nonnegative, got {max_path_length}")
+    refusal = f"a relation-free path exceeded the length cap {max_path_length}"
+    out, head, word = _arrow_graph(pres)
+    zeros = [word(w) for w in pres.zero_words()]
+    order, succ = _live_graph(out, head, _avoiding(zeros), refusal)
+    longest = {}
+    for node in order:
+        longest[node] = max((longest[m] + 1 for m in succ[node]), default=0)
+    if max(longest.values(), default=0) > max_path_length:
+        raise NonNilpotentCycle(refusal)
+    commutations = [(word(l), word(r)) for l, r in pres.commutation_pairs()]
+    if commutations:
+        rules = _complete(zeros, commutations)
+        order, succ = _live_graph(out, head, _avoiding(rules), refusal)
+    count = {}
+    for node in order:
+        count[node] = 1 + sum(count[m] for m in succ[node])
+    return sum(count[(v, ())] for v in range(len(out)))
+
+
+def check_closure_by_application_order(pres: Presentation) -> None:
+    """Closure's refusal of a presentation whose zero-free paths run round
+    an oriented cycle; returns None when it does not refuse."""
+    out, head, word = _arrow_graph(pres)
+    _live_graph(out, head, _avoiding(word(w) for w in pres.zero_words()),
+                "closure extends by simple submodules only, so it misses the modules on"
+                " which a cycle of arrows acts non-nilpotently; use method='scan'")
+
+
+# ---------------------------------------------------------------------------
+# tokenizer oracle: the datum tokenizer before its single regex pass, kept
+# as it was apart from its name
+
+_TOKEN = re.compile(r"->|:|[A-Za-z0-9_()]+")
+
+
+def tokenize_by_characters(text: str, lineno: int):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise DatumSyntaxError(
+                f"unexpected character {text[pos]!r}", lineno, pos + 1
+            )
+        tokens.append((m.group(), pos + 1))
+        pos = m.end()
+    return tokens
